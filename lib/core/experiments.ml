@@ -459,6 +459,55 @@ let loss_sweep () =
     (List.rev !verdicts);
   Json.Arr (List.rev !rows)
 
+(* --- shared by the load experiments below -------------------------------- *)
+
+(* Every open-loop experiment warms up first and starts its arrival
+   clock at this virtual time (or when warm-up ends, if later). *)
+let t_start = 0.25
+
+(* Warm-up for a fan-out stack: client [i] makes one null call per
+   replica, so every (client, replica) path has resolved ARP, opened its
+   channel sessions and seeded its RTT estimator. *)
+let warm_replicas (s : Stacks.fanout_stack) ~servers i =
+  for _ = 1 to servers do
+    ignore (s.Stacks.fos_call i ~command:Stacks.cmd_null Msg.empty)
+  done
+
+let check_names what ~known names =
+  List.iter
+    (fun n ->
+      if not (List.mem n known) then
+        invalid_arg
+          (Printf.sprintf "%s %S (try: %s)" what n (String.concat ", " known)))
+    names
+
+(* Sum a counter over every registered stats table: server-side drops
+   live in per-host CHANNEL, SELECT and ADMIT tables, client-side
+   governance and shard counters in per-host REPLICA tables. *)
+let sum_counter name =
+  List.fold_left
+    (fun acc (_, counters) ->
+      acc + (try List.assoc name counters with Not_found -> 0))
+    0 (Stats.dump ())
+
+let sum_replicas (s : Stacks.fanout_stack) f =
+  Array.fold_left (fun a r -> a + f r) 0 s.Stacks.fos_replicas
+
+let max_map_version (s : Stacks.fanout_stack) =
+  Array.fold_left
+    (fun a r -> max a (Select_replica.map_version r))
+    0 s.Stacks.fos_replicas
+
+let goodput n dt = if dt > 0. then float_of_int n /. dt else 0.
+
+(* Arrivals neither completed, failed nor shed: calls that never
+   resolved.  Must be 0. *)
+let lost_calls ~arrivals (o : Load.open_run) =
+  arrivals - o.Load.o_completed - o.Load.o_failed - o.Load.o_shed
+
+(* A latency percentile in milliseconds. *)
+let ms h q = float_of_int (Histogram.percentile h q) /. 1e3
+
 (* --- capacity sweep: offered load vs throughput and tail latency --------- *)
 
 (* The capacity "lrpc" stack uses the paper's fixed step timeout
@@ -501,10 +550,10 @@ let capacity ?(stacks = capacity_stacks_default)
              (String.concat ", " (List.map fst fan_builders)))
   in
   let print_r (r : Load.result) =
-    let p q = float_of_int (Histogram.percentile r.Load.hist q) /. 1e3 in
+    let ms = ms r.Load.hist in
     pr "%10s %13s %8.0f %8.0f %8.2f %8.2f %8.2f %6d %6d %4.0f%%\n%!"
-      r.Load.r_config r.r_mode r.offered_rps r.achieved_rps (p 50.) (p 99.)
-      (p 99.9) r.shed r.queue_depth_max (r.wire_util *. 100.)
+      r.Load.r_config r.r_mode r.offered_rps r.achieved_rps (ms 50.) (ms 99.)
+      (ms 99.9) r.shed r.queue_depth_max (r.wire_util *. 100.)
   in
   let row r =
     match Load.to_json r with
@@ -558,14 +607,12 @@ let failover ?(servers = 4) ?(clients = 4) ?(rate = 800.) ?(arrivals = 400)
   (* Absolute schedule, so the chaos plan can be compiled before the
      run starts: warm-up happens before [t_start]; the dispatcher then
      idles until exactly [t_start]. *)
-  let t_start = 0.25 in
   let duration = float_of_int arrivals /. rate in
   let crash_t = t_start +. (duration *. 0.3) in
   let outage = duration *. 0.25 in
   let heal_t = crash_t +. outage in
   let fo = World.create_fanout ~clients ~servers ~seed () in
   let w = fo.World.fo in
-  let sim = w.World.sim in
   let s =
     Stacks.lrpc_fanout ~attempt_timeout ~deadline ~probation fo
   in
@@ -582,87 +629,41 @@ let failover ?(servers = 4) ?(clients = 4) ?(rate = 800.) ?(arrivals = 400)
             { a = [ 0 ]; b = List.init (servers + clients - 1) (fun i -> i + 1) };
       };
     ];
-  let m = Array.length s.Stacks.fos_clients in
-  let hist = Load.new_hist () in
-  let completed = ref 0 and failed = ref 0 and shed = ref 0 in
-  let pre = ref 0 and blip = ref 0 and post = ref 0 in
-  let shed_after_heal = ref 0 in
-  let pending = ref 0 and pending_max = ref 0 in
-  let t_end = ref 0. and max_lat = ref 0. in
-  let dispatched_all = ref false in
-  let one_call i =
-    let t = Sim.now sim in
-    (match s.Stacks.fos_call i ~command:Stacks.cmd_null Msg.empty with
-    | Ok _ ->
-        incr completed;
-        let now = Sim.now sim in
-        if now < crash_t then incr pre
-        else if now < heal_t then incr blip
-        else incr post
-    | Error _ -> incr failed);
-    let now = Sim.now sim in
-    let lat = now -. t in
-    Histogram.record hist (Load.us_of lat);
-    if lat > !max_lat then max_lat := lat;
-    if now > !t_end then t_end := now;
-    decr pending
+  let o =
+    Load.open_loop ~clients:(Array.length s.Stacks.fos_clients)
+      ~warm:(warm_replicas s ~servers) ~start_at:t_start
+      ~phases:[ crash_t; heal_t ] ~arrival:Load.Uniform ~rate ~arrivals
+      ~window
+      ~call:(fun ~client _ ->
+        s.Stacks.fos_call client ~command:Stacks.cmd_null Msg.empty)
+      w
   in
-  let dispatcher () =
-    let now = Sim.now sim in
-    if t_start > now then Sim.delay sim (t_start -. now);
-    for k = 0 to arrivals - 1 do
-      if !pending >= window then begin
-        incr shed;
-        if Sim.now sim >= heal_t then incr shed_after_heal
-      end
-      else begin
-        incr pending;
-        if !pending > !pending_max then pending_max := !pending;
-        let i = k mod m in
-        Sim.spawn sim (fun () -> one_call i)
-      end;
-      if k < arrivals - 1 then Sim.delay sim (1. /. rate)
-    done;
-    dispatched_all := true
-  in
-  (* Warm every (client, replica) pair — ARP, channel sessions, RTT
-     estimators — before the arrival clock starts. *)
-  let warm_left = ref m in
-  for i = 0 to m - 1 do
-    World.spawn w (fun () ->
-        for _ = 1 to servers do
-          ignore (s.Stacks.fos_call i ~command:Stacks.cmd_null Msg.empty)
-        done;
-        decr warm_left;
-        if !warm_left = 0 then Sim.spawn sim dispatcher)
-  done;
-  World.run w;
-  assert !dispatched_all;
-  let sum f = Array.fold_left (fun a r -> a + f r) 0 s.Stacks.fos_replicas in
-  let failovers = sum Select_replica.failovers in
-  let probes_sent = sum Select_replica.probes_sent in
-  let probes_ok = sum Select_replica.probes_ok in
-  let goodput n dt = if dt > 0. then float_of_int n /. dt else 0. in
-  let g_pre = goodput !pre (crash_t -. t_start) in
-  let g_blip = goodput !blip outage in
-  let g_post = goodput !post (!t_end -. heal_t) in
-  let p q = float_of_int (Histogram.percentile hist q) /. 1e3 in
+  let ph = o.Load.o_phases in
+  let failovers = sum_replicas s Select_replica.failovers in
+  let probes_sent = sum_replicas s Select_replica.probes_sent in
+  let probes_ok = sum_replicas s Select_replica.probes_ok in
+  let g_pre = goodput ph.(0).Load.ph_ok (crash_t -. t_start) in
+  let g_blip = goodput ph.(1).Load.ph_ok outage in
+  let g_post = goodput ph.(2).Load.ph_ok (o.Load.o_t_end -. heal_t) in
+  let hist = o.Load.o_hist in
+  let max_us = Histogram.max_value hist in
   pr "%12s %10s %10s %10s %8s %8s %8s\n" "phase" "goodput/s" "" "" "p99 ms"
     "p99.9ms" "max ms";
   hr ();
   pr "%12s %10.0f\n" "pre-crash" g_pre;
   pr "%12s %10.0f\n" "outage" g_blip;
   pr "%12s %10.0f\n" "healed" g_post;
-  pr "%12s %10s %10s %10s %8.2f %8.2f %8.2f\n%!" "all" "" "" "" (p 99.)
-    (p 99.9) (!max_lat *. 1e3);
+  pr "%12s %10s %10s %10s %8.2f %8.2f %8.2f\n%!" "all" "" "" "" (ms hist 99.)
+    (ms hist 99.9)
+    (float_of_int max_us /. 1e3);
   pr
     "\n\
      completed %d  failed %d  shed %d  failovers %d  probes %d/%d ok\n\
      (The outage dip is bounded by one replica's share: each client\n\
     \ fails over after one %.0f ms attempt, marks replica 0 suspect and\n\
     \ routes around it until a probe heals it.)\n"
-    !completed !failed !shed failovers probes_ok probes_sent
-    (attempt_timeout *. 1e3);
+    o.Load.o_completed o.Load.o_failed o.Load.o_shed failovers probes_ok
+    probes_sent (attempt_timeout *. 1e3);
   Json.Arr
     [
       Json.Obj
@@ -672,17 +673,13 @@ let failover ?(servers = 4) ?(clients = 4) ?(rate = 800.) ?(arrivals = 400)
           ("servers", Json.Int servers);
           ("clients", Json.Int clients);
           ("seed", Json.Int seed);
-          ( "map_version",
-            Json.Int
-              (Array.fold_left
-                 (fun a r -> max a (Select_replica.map_version r))
-                 0 s.Stacks.fos_replicas) );
+          ("map_version", Json.Int (max_map_version s));
           ("offered_rps", Json.Float rate);
           ("arrivals", Json.Int arrivals);
-          ("completed", Json.Int !completed);
-          ("failed", Json.Int !failed);
-          ("shed", Json.Int !shed);
-          ("shed_after_heal", Json.Int !shed_after_heal);
+          ("completed", Json.Int o.Load.o_completed);
+          ("failed", Json.Int o.Load.o_failed);
+          ("shed", Json.Int o.Load.o_shed);
+          ("shed_after_heal", Json.Int ph.(2).Load.ph_shed);
           ("failovers", Json.Int failovers);
           ("probes_sent", Json.Int probes_sent);
           ("probes_ok", Json.Int probes_ok);
@@ -693,8 +690,8 @@ let failover ?(servers = 4) ?(clients = 4) ?(rate = 800.) ?(arrivals = 400)
           ("goodput_healed_rps", Json.Float g_post);
           ("attempt_timeout_us", Json.Int (Load.us_of attempt_timeout));
           ("deadline_us", Json.Int (Load.us_of deadline));
-          ("max_us", Json.Int (Load.us_of !max_lat));
-          ("pending_max", Json.Int !pending_max);
+          ("max_us", Json.Int max_us);
+          ("pending_max", Json.Int o.Load.o_pending_max);
           ("latency_us", Histogram.to_json hist);
         ];
     ]
@@ -714,20 +711,13 @@ let rebalance ?(servers = 4) ?(clients = 4) ?(shards = 16) ?(rate = 800.)
      lose replica 0 for good; the skew mode redirects half the arrivals\n\
      at one hot shard.\n\n"
     rate arrivals seed;
-  List.iter
-    (fun m ->
-      if not (List.mem m rebalance_modes) then
-        invalid_arg
-          (Printf.sprintf "rebalance: unknown mode %S (try: %s)" m
-             (String.concat ", " rebalance_modes)))
-    modes;
+  check_names "rebalance: unknown mode" ~known:rebalance_modes modes;
   (* Same per-attempt bounds as the failover experiment, plus bounded
      probes so a crashed owner is declared Dead in a couple hundred
      milliseconds instead of after the CHANNEL RTO ladder. *)
   let attempt_timeout = 0.04 and deadline = 0.4 in
   let probation = 0.02 and probe_timeout = 0.03 and probe_limit = 2 in
   let drain_deadline = 0.05 in
-  let t_start = 0.25 in
   let duration = float_of_int arrivals /. rate in
   if duration < 0.55 then
     invalid_arg "rebalance: arrivals/rate too short for the phase grid";
@@ -781,30 +771,7 @@ let rebalance ?(servers = 4) ?(clients = 4) ?(shards = 16) ?(rate = 800.)
                 };
           };
         ];
-    (* The rebalancer sees a replica as Dead when a majority of the
-       clients' health machines say so, and reads the summed per-shard
-       call counts as its load signal. *)
     let replicas = s.Stacks.fos_replicas in
-    let replica_health r =
-      let dead =
-        Array.fold_left
-          (fun n cl ->
-            if Select_replica.health cl r = Select_replica.Dead then n + 1
-            else n)
-          0 replicas
-      in
-      if 2 * dead >= Array.length replicas then `Dead else `Up
-    in
-    let shard_load () =
-      let acc = Array.make shards 0 in
-      Array.iter
-        (fun cl ->
-          Array.iteri
-            (fun i v -> acc.(i) <- acc.(i) + v)
-            (Select_replica.shard_calls cl))
-        replicas;
-      acc
-    in
     (match mode with
     | "static" -> ()
     | _ ->
@@ -813,7 +780,8 @@ let rebalance ?(servers = 4) ?(clients = 4) ?(shards = 16) ?(rate = 800.)
            enough calls to beat sampling noise. *)
         let rb =
           Rebalance.create ~host:s.Stacks.fos_clients.(0) ~coord
-            ~replica_health ~shard_load
+            ~replica_health:(Rebalance.majority_health replicas)
+            ~shard_load:(Rebalance.summed_shard_load replicas ~shards)
             ~interval:(if crash then 0.025 else 0.05)
             ~on_crash:crash ~on_skew:(not crash) ()
         in
@@ -826,43 +794,22 @@ let rebalance ?(servers = 4) ?(clients = 4) ?(shards = 16) ?(rate = 800.)
         ignore
           (Sim.after sim chaos_t (fun () ->
                Rebalance.start rb ~until:(t_start +. duration))));
-    let m = Array.length s.Stacks.fos_clients in
-    let hist = Load.new_hist () in
-    let h_pre = Load.new_hist ()
-    and h_dip = Load.new_hist ()
-    and h_heal = Load.new_hist () in
-    let completed = ref 0 and failed = ref 0 and shed = ref 0 in
-    let pre = ref 0 and dip = ref 0 and heal = ref 0 in
-    let pending = ref 0 and pending_max = ref 0 in
-    let t_end = ref 0. in
+    (* A monitor fiber timestamps the first client-visible map change —
+       the control plane's reaction time. *)
     let t_rebalanced = ref None in
-    let dispatched_all = ref false in
-    let one_call i ~key =
-      let t = Sim.now sim in
-      (match s.Stacks.fos_call i ~key ~command:Stacks.cmd_null Msg.empty with
-      | Ok _ ->
-          let now = Sim.now sim in
-          incr completed;
-          let h =
-            if now < chaos_t then (incr pre; h_pre)
-            else if now < heal_t then (incr dip; h_dip)
-            else (incr heal; h_heal)
-          in
-          Histogram.record h (Load.us_of (now -. t))
-      | Error _ -> incr failed);
-      let now = Sim.now sim in
-      Histogram.record hist (Load.us_of (now -. t));
-      if now > !t_end then t_end := now;
-      decr pending
-    in
-    let dispatcher () =
-      let now = Sim.now sim in
-      if t_start > now then Sim.delay sim (t_start -. now);
-      for k = 0 to arrivals - 1 do
-        if !pending >= window then incr shed
-        else begin
-          incr pending;
-          if !pending > !pending_max then pending_max := !pending;
+    Sim.spawn sim (fun () ->
+        while !t_rebalanced = None && Sim.now sim < t_stop do
+          if
+            Array.exists (fun cl -> Select_replica.map_version cl > v0) replicas
+          then t_rebalanced := Some (Sim.now sim)
+          else Sim.delay sim 0.005
+        done);
+    let o =
+      Load.open_loop ~clients:(Array.length s.Stacks.fos_clients)
+        ~warm:(warm_replicas s ~servers) ~start_at:t_start
+        ~phases:[ chaos_t; heal_t ] ~arrival:Load.Uniform ~rate ~arrivals
+        ~window
+        ~call:(fun ~client k ->
           (* Uniform keys sweep the shards; in the skew mode every
              second arrival after the fault instant hits one of the
              hot replica's shards. *)
@@ -874,58 +821,25 @@ let rebalance ?(servers = 4) ?(clients = 4) ?(shards = 16) ?(rate = 800.)
             then hot_shards.(k / 2 mod Array.length hot_shards)
             else k
           in
-          Sim.spawn sim (fun () -> one_call (k mod m) ~key)
-        end;
-        if k < arrivals - 1 then Sim.delay sim (1. /. rate)
-      done;
-      dispatched_all := true
+          s.Stacks.fos_call client ~key ~command:Stacks.cmd_null Msg.empty)
+        w
     in
-    (* A monitor fiber timestamps the first client-visible map change —
-       the control plane's reaction time. *)
-    Sim.spawn sim (fun () ->
-        while !t_rebalanced = None && Sim.now sim < t_stop do
-          if
-            Array.exists (fun cl -> Select_replica.map_version cl > v0) replicas
-          then t_rebalanced := Some (Sim.now sim)
-          else Sim.delay sim 0.005
-        done);
-    let warm_left = ref m in
-    for i = 0 to m - 1 do
-      World.spawn w (fun () ->
-          for _ = 1 to servers do
-            ignore (s.Stacks.fos_call i ~command:Stacks.cmd_null Msg.empty)
-          done;
-          decr warm_left;
-          if !warm_left = 0 then Sim.spawn sim dispatcher)
-    done;
-    World.run w;
-    assert !dispatched_all;
-    let lost = arrivals - !completed - !failed - !shed in
-    let sum_counter name =
-      List.fold_left
-        (fun acc (_, counters) ->
-          acc + (try List.assoc name counters with Not_found -> 0))
-        0 (Stats.dump ())
-    in
-    let sum_replica f = Array.fold_left (fun a r -> a + f r) 0 replicas in
+    let ph = o.Load.o_phases in
+    let lost = lost_calls ~arrivals o in
     let moved = Shard_map.Coordinator.moved coord in
-    let map_version =
-      Array.fold_left
-        (fun a r -> max a (Select_replica.map_version r))
-        0 replicas
-    in
-    let goodput n dt = if dt > 0. then float_of_int n /. dt else 0. in
-    let g_pre = goodput !pre (chaos_t -. t_start) in
-    let g_dip = goodput !dip dip_window in
-    let g_heal = goodput !heal (!t_end -. heal_t) in
-    let p h q = float_of_int (Histogram.percentile h q) /. 1e3 in
+    let g_pre = goodput ph.(0).Load.ph_ok (chaos_t -. t_start) in
+    let g_dip = goodput ph.(1).Load.ph_ok dip_window in
+    let g_heal = goodput ph.(2).Load.ph_ok (o.Load.o_t_end -. heal_t) in
+    let h_pre = ph.(0).Load.ph_hist
+    and h_dip = ph.(1).Load.ph_hist
+    and h_heal = ph.(2).Load.ph_hist in
     let t_reb_ms =
       match !t_rebalanced with
       | Some t -> (t -. chaos_t) *. 1e3
       | None -> -1.
     in
     pr "%16s %8.0f %8.0f %8.0f %6d %6d %8.1f %8.2f %8.2f\n%!" mode g_pre g_dip
-      g_heal moved lost t_reb_ms (p h_dip 99.) (p h_dip 99.9);
+      g_heal moved lost t_reb_ms (ms h_dip 99.) (ms h_dip 99.9);
     Json.Obj
       [
         ("table", Json.Str "rebalance");
@@ -937,32 +851,32 @@ let rebalance ?(servers = 4) ?(clients = 4) ?(shards = 16) ?(rate = 800.)
         ("seed", Json.Int seed);
         ("offered_rps", Json.Float rate);
         ("arrivals", Json.Int arrivals);
-        ("completed", Json.Int !completed);
-        ("failed", Json.Int !failed);
-        ("shed", Json.Int !shed);
+        ("completed", Json.Int o.Load.o_completed);
+        ("failed", Json.Int o.Load.o_failed);
+        ("shed", Json.Int o.Load.o_shed);
         ("lost_calls", Json.Int lost);
         ("moved_shards", Json.Int moved);
-        ("map_version", Json.Int map_version);
+        ("map_version", Json.Int (max_map_version s));
         ("map_updates_rx", Json.Int (sum_counter "map-update-rx"));
         ("wrong_shard_rx", Json.Int (sum_counter "wrong-shard-rx"));
         ("wrong_shard_tx", Json.Int (sum_counter "wrong-shard-tx"));
         ("foreign_shard_rx", Json.Int (sum_counter "foreign-shard-rx"));
         ("handoff_forced", Json.Int (sum_counter "handoff-forced"));
-        ("failovers", Json.Int (sum_replica Select_replica.failovers));
-        ("probes_sent", Json.Int (sum_replica Select_replica.probes_sent));
+        ("failovers", Json.Int (sum_replicas s Select_replica.failovers));
+        ("probes_sent", Json.Int (sum_replicas s Select_replica.probes_sent));
         ("t_rebalance_ms", Json.Float t_reb_ms);
         ("goodput_pre_rps", Json.Float g_pre);
         ("goodput_dip_rps", Json.Float g_dip);
         ("goodput_healed_rps", Json.Float g_heal);
-        ("pre_p99_ms", Json.Float (p h_pre 99.));
-        ("dip_p99_ms", Json.Float (p h_dip 99.));
-        ("dip_p999_ms", Json.Float (p h_dip 99.9));
-        ("healed_p99_ms", Json.Float (p h_heal 99.));
+        ("pre_p99_ms", Json.Float (ms h_pre 99.));
+        ("dip_p99_ms", Json.Float (ms h_dip 99.));
+        ("dip_p999_ms", Json.Float (ms h_dip 99.9));
+        ("healed_p99_ms", Json.Float (ms h_heal 99.));
         ("attempt_timeout_us", Json.Int (Load.us_of attempt_timeout));
         ("deadline_us", Json.Int (Load.us_of deadline));
         ("drain_deadline_us", Json.Int (Load.us_of drain_deadline));
-        ("pending_max", Json.Int !pending_max);
-        ("latency_us", Histogram.to_json hist);
+        ("pending_max", Json.Int o.Load.o_pending_max);
+        ("latency_us", Histogram.to_json o.Load.o_hist);
       ]
   in
   pr "%16s %8s %8s %8s %6s %6s %8s %8s %8s\n" "mode" "pre" "dip" "healed"
@@ -999,13 +913,7 @@ let overload ?(servers = 2) ?(clients = 4) ?(rates = [ 600.; 1200.; 2000. ])
     servers;
   pr "%d arrivals per step; %d us of server CPU per call, %.0f ms deadline\n\n"
     arrivals service_us (deadline *. 1e3);
-  List.iter
-    (fun c ->
-      if not (List.mem c overload_controls) then
-        invalid_arg
-          (Printf.sprintf "overload: unknown control %S (try: %s)" c
-             (String.concat ", " overload_controls)))
-    controls;
+  check_names "overload: unknown control" ~known:overload_controls controls;
   let service_s = float_of_int service_us *. 1e-6 in
   let attempt_timeout = deadline /. 2. in
   (* Bounded so a full queue's sojourn stays under the deadline:
@@ -1018,7 +926,6 @@ let overload ?(servers = 2) ?(clients = 4) ?(rates = [ 600.; 1200.; 2000. ])
       lifo = false;
     }
   in
-  let t_start = 0.25 in
   (* One step: fresh default-seed world, so every (control, rate) cell
      is independent and the whole sweep is deterministic. *)
   let step control rate =
@@ -1066,69 +973,27 @@ let overload ?(servers = 2) ?(clients = 4) ?(rates = [ 600.; 1200.; 2000. ])
               wasted_us := !wasted_us + service_us;
             Ok Msg.empty))
       s.Stacks.fos_selects;
-    let m = Array.length s.Stacks.fos_clients in
-    let hist = Load.new_hist () in
-    let completed = ref 0 and failed = ref 0 and busy_errs = ref 0 in
-    let shed = ref 0 and pending = ref 0 in
-    let t_end = ref 0. in
-    let dispatched_all = ref false in
-    let one_call i =
-      let t = Sim.now sim in
-      let body =
-        let wr = Codec.W.create ~size:6 () in
-        Codec.W.u48 wr (Load.us_of (t +. deadline));
-        Msg.of_string (Codec.W.contents wr)
-      in
-      (match s.Stacks.fos_call i ~command:cmd_work body with
-      | Ok _ -> incr completed
-      | Error Rpc_error.Busy ->
-          incr busy_errs;
-          incr failed
-      | Error _ -> incr failed);
-      let now = Sim.now sim in
-      Histogram.record hist (Load.us_of (now -. t));
-      if now > !t_end then t_end := now;
-      decr pending
-    in
-    let dispatcher () =
-      let now = Sim.now sim in
-      if t_start > now then Sim.delay sim (t_start -. now);
-      (* Warm-up traffic is settled by now: count only the sweep's CPU. *)
-      Array.iter
-        (fun (h : Host.t) -> Machine.reset_cpu_seconds h.Host.mach)
-        s.Stacks.fos_servers;
-      for k = 0 to arrivals - 1 do
-        if !pending >= window then incr shed
-        else begin
-          incr pending;
-          Sim.spawn sim (fun () -> one_call (k mod m))
-        end;
-        if k < arrivals - 1 then Sim.delay sim (1. /. rate)
-      done;
-      dispatched_all := true
-    in
-    let warm_left = ref m in
-    for i = 0 to m - 1 do
-      World.spawn w (fun () ->
-          for _ = 1 to servers do
-            ignore (s.Stacks.fos_call i ~command:Stacks.cmd_null Msg.empty)
-          done;
-          decr warm_left;
-          if !warm_left = 0 then Sim.spawn sim dispatcher)
-    done;
-    World.run w;
-    assert !dispatched_all;
-    (* Sum a counter over every registered stats table: the server-side
-       expired drops live in per-host CHANNEL, SELECT and ADMIT tables,
-       the client-side governance counters in per-host REPLICA tables. *)
-    let sum_counter name =
-      List.fold_left
-        (fun acc (_, counters) ->
-          acc + (try List.assoc name counters with Not_found -> 0))
-        0 (Stats.dump ())
-    in
-    let sum_replica f =
-      Array.fold_left (fun a r -> a + f r) 0 s.Stacks.fos_replicas
+    let busy_errs = ref 0 in
+    let o =
+      Load.open_loop ~clients:(Array.length s.Stacks.fos_clients)
+        ~warm:(warm_replicas s ~servers) ~start_at:t_start
+        ~on_start:(fun ~drained:_ ->
+          (* Warm-up traffic is settled by now: count only the sweep's
+             CPU. *)
+          Array.iter
+            (fun (h : Host.t) -> Machine.reset_cpu_seconds h.Host.mach)
+            s.Stacks.fos_servers)
+        ~arrival:Load.Uniform ~rate ~arrivals ~window
+        ~call:(fun ~client _ ->
+          let body =
+            let wr = Codec.W.create ~size:6 () in
+            Codec.W.u48 wr (Load.us_of (Sim.now sim +. deadline));
+            Msg.of_string (Codec.W.contents wr)
+          in
+          let r = s.Stacks.fos_call client ~command:cmd_work body in
+          (match r with Error Rpc_error.Busy -> incr busy_errs | _ -> ());
+          r)
+        w
     in
     let sum_admit f = Array.fold_left (fun a d -> a + f d) 0 s.Stacks.fos_admits in
     let sum_mach f =
@@ -1136,18 +1001,15 @@ let overload ?(servers = 2) ?(clients = 4) ?(rates = [ 600.; 1200.; 2000. ])
         (fun a (h : Host.t) -> a +. f h.Host.mach)
         0. s.Stacks.fos_servers
     in
-    let goodput =
-      if !t_end > t_start then float_of_int !completed /. (!t_end -. t_start)
-      else 0.
-    in
-    let failovers = sum_replica Select_replica.failovers in
+    let goodput = goodput o.Load.o_completed (o.Load.o_t_end -. t_start) in
+    let failovers = sum_replicas s Select_replica.failovers in
     let busy_rejects = sum_admit Admit.busy_rejected in
     let expired_server = sum_counter "deadline-expired-server" in
     let exhausted = sum_counter "retry-budget-exhausted" in
-    let p q = float_of_int (Histogram.percentile hist q) /. 1e3 in
+    let hist = o.Load.o_hist in
     pr "%15s %8.0f %8.0f %8.2f %8.2f %9d %7d %7d %7d %5d\n%!" control rate
-      goodput (p 99.) (p 99.9) !wasted_us busy_rejects expired_server failovers
-      exhausted;
+      goodput (ms hist 99.) (ms hist 99.9) !wasted_us busy_rejects
+      expired_server failovers exhausted;
     Json.Obj
       [
         ("table", Json.Str "overload");
@@ -1160,10 +1022,10 @@ let overload ?(servers = 2) ?(clients = 4) ?(rates = [ 600.; 1200.; 2000. ])
         ("service_us", Json.Int service_us);
         ("deadline_us", Json.Int (Load.us_of deadline));
         ("attempt_timeout_us", Json.Int (Load.us_of attempt_timeout));
-        ("completed", Json.Int !completed);
-        ("failed", Json.Int !failed);
+        ("completed", Json.Int o.Load.o_completed);
+        ("failed", Json.Int o.Load.o_failed);
         ("busy_errors", Json.Int !busy_errs);
-        ("shed", Json.Int !shed);
+        ("shed", Json.Int o.Load.o_shed);
         ("goodput_rps", Json.Float goodput);
         ("handler_runs", Json.Int !handler_runs);
         ("wasted_cpu_us", Json.Int !wasted_us);
@@ -1214,23 +1076,15 @@ let inc ?(clients = 4) ?(rate = 2500.) ?(arrivals = 1200) ?(window = 64)
      cacheable request, \"cold\" never repeats, \"no-inc\" runs the same\n\
      hot workload through a plain forwarding switch.\n\n"
     rate arrivals seed;
-  List.iter
-    (fun m ->
-      if not (List.mem m inc_modes) then
-        invalid_arg
-          (Printf.sprintf "inc: unknown mode %S (try: %s)" m
-             (String.concat ", " inc_modes)))
-    modes;
+  check_names "inc: unknown mode" ~known:inc_modes modes;
   (* Generous per-call bounds: the story here is server throughput, not
      timeout behaviour, and the cold switched path's first call pays the
      VIP gateway fallback (~0.3 s). *)
   let attempt_timeout = 0.5 and deadline = 2.0 in
-  let t_start = 0.25 in
   let step mode =
     Stats.reset_registry ();
     let sw = World.create_switched ~clients ~servers:1 ~seed () in
     let w = sw.World.sw.World.fo in
-    let sim = w.World.sim in
     let s, inc_opt =
       match mode with
       | "no-inc" -> Stacks.lrpc_switched ~attempt_timeout ~deadline sw
@@ -1241,76 +1095,46 @@ let inc ?(clients = 4) ?(rate = 2500.) ?(arrivals = 1200) ?(window = 64)
     let server_wire = World.port_wire sw ~label:"s0" in
     let server_mach = s.Stacks.fos_servers.(0).Host.mach in
     let switch_machs = World.switch_machines sw in
-    let m = Array.length s.Stacks.fos_clients in
-    let hist = Load.new_hist () in
-    let completed = ref 0 and failed = ref 0 and shed = ref 0 in
-    let pending = ref 0 and pending_max = ref 0 in
-    let t_end = ref 0. and t0 = ref t_start in
     let wire0 = ref (Wire.stats server_wire) in
-    let dispatched_all = ref false in
     let body k =
       Msg.of_string
         (if mode = "cold" then Printf.sprintf "k%06d" k else "hot")
     in
-    let one_call i k =
-      let t = Sim.now sim in
-      (match s.Stacks.fos_call i ~command:Stacks.cmd_echo (body k) with
-      | Ok _ -> incr completed
-      | Error _ -> incr failed);
-      let now = Sim.now sim in
-      Histogram.record hist (Load.us_of (now -. t));
-      if now > !t_end then t_end := now;
-      decr pending
-    in
-    let dispatcher () =
-      let now = Sim.now sim in
-      if t_start > now then Sim.delay sim (t_start -. now);
-      (* Warm-up traffic is settled: count only the sweep from here.
-         (The warm calls may run past [t_start] — the cold switched
-         path's first call is slow — so the measured window starts at
-         whatever time dispatch actually begins.) *)
-      t0 := Sim.now sim;
-      Machine.reset_cpu_seconds server_mach;
-      Array.iter Machine.reset_cpu_seconds switch_machs;
-      wire0 := Wire.stats server_wire;
-      for k = 0 to arrivals - 1 do
-        if !pending >= window then incr shed
-        else begin
-          incr pending;
-          if !pending > !pending_max then pending_max := !pending;
-          Sim.spawn sim (fun () -> one_call (k mod m) k)
-        end;
-        if k < arrivals - 1 then Sim.delay sim (1. /. rate)
-      done;
-      dispatched_all := true
-    in
-    let warm_left = ref m in
-    for i = 0 to m - 1 do
-      World.spawn w (fun () ->
+    let o =
+      Load.open_loop ~clients:(Array.length s.Stacks.fos_clients)
+        ~warm:(fun i ->
           (* Distinct warm bodies: the hot key must first miss inside
              the measured window, like any real cache-warm story. *)
           ignore
             (s.Stacks.fos_call i ~command:Stacks.cmd_echo
-               (Msg.of_string (Printf.sprintf "warm%d" i)));
-          decr warm_left;
-          if !warm_left = 0 then Sim.spawn sim dispatcher)
-    done;
-    World.run w;
-    assert !dispatched_all;
-    let lost = arrivals - !completed - !failed - !shed in
+               (Msg.of_string (Printf.sprintf "warm%d" i))))
+        ~start_at:t_start
+        ~on_start:(fun ~drained:_ ->
+          (* Warm-up traffic is settled: count only the sweep from
+             here.  (The warm calls may run past [t_start] — the cold
+             switched path's first call is slow — so the measured
+             window starts at whatever time dispatch actually
+             begins.) *)
+          Machine.reset_cpu_seconds server_mach;
+          Array.iter Machine.reset_cpu_seconds switch_machs;
+          wire0 := Wire.stats server_wire)
+        ~arrival:Load.Uniform ~rate ~arrivals ~window
+        ~call:(fun ~client k ->
+          s.Stacks.fos_call client ~command:Stacks.cmd_echo (body k))
+        w
+    in
+    let lost = lost_calls ~arrivals o in
     let wires = Wire.stats server_wire in
     let frames = wires.Wire.frames - !wire0.Wire.frames in
     let bytes = wires.Wire.bytes - !wire0.Wire.bytes in
     let switch_cpu =
       Array.fold_left (fun a mc -> a +. Machine.cpu_seconds mc) 0. switch_machs
     in
-    let goodput =
-      if !t_end > !t0 then float_of_int !completed /. (!t_end -. !t0) else 0.
-    in
+    let goodput = goodput o.Load.o_completed (o.Load.o_t_end -. o.Load.o_t0) in
     let istat f = match inc_opt with None -> 0 | Some i -> f i in
-    let p q = float_of_int (Histogram.percentile hist q) /. 1e3 in
+    let hist = o.Load.o_hist in
     pr "%8s %8.0f %8.0f %8.2f %8.2f %8d %9d %6d %6d %6d\n%!" mode rate goodput
-      (p 50.) (p 99.) frames
+      (ms hist 50.) (ms hist 99.) frames
       (Load.us_of (Machine.cpu_seconds server_mach))
       (istat Inc.hits) (istat Inc.misses) lost;
     Json.Obj
@@ -1322,9 +1146,9 @@ let inc ?(clients = 4) ?(rate = 2500.) ?(arrivals = 1200) ?(window = 64)
         ("seed", Json.Int seed);
         ("offered_rps", Json.Float rate);
         ("arrivals", Json.Int arrivals);
-        ("completed", Json.Int !completed);
-        ("failed", Json.Int !failed);
-        ("shed", Json.Int !shed);
+        ("completed", Json.Int o.Load.o_completed);
+        ("failed", Json.Int o.Load.o_failed);
+        ("shed", Json.Int o.Load.o_shed);
         ("lost_calls", Json.Int lost);
         ("goodput_rps", Json.Float goodput);
         ("cache_hits", Json.Int (istat Inc.hits));
@@ -1340,9 +1164,9 @@ let inc ?(clients = 4) ?(rate = 2500.) ?(arrivals = 1200) ?(window = 64)
         ("switch_cpu_us", Json.Int (Load.us_of switch_cpu));
         ("attempt_timeout_us", Json.Int (Load.us_of attempt_timeout));
         ("deadline_us", Json.Int (Load.us_of deadline));
-        ("pending_max", Json.Int !pending_max);
-        ("p50_ms", Json.Float (p 50.));
-        ("p99_ms", Json.Float (p 99.));
+        ("pending_max", Json.Int o.Load.o_pending_max);
+        ("p50_ms", Json.Float (ms hist 50.));
+        ("p99_ms", Json.Float (ms hist 99.));
         ("latency_us", Histogram.to_json hist);
       ]
   in
@@ -1374,17 +1198,10 @@ let shardscale ?(ks = [ 1; 2; 4 ]) ?(clients = 8) ?(shards = 16)
      Zipfian cells run at the largest K; \"zipf-rebalance\" adds the\n\
      skew rebalancer.\n\n"
     rate arrivals seed;
-  List.iter
-    (fun m ->
-      if not (List.mem m shardscale_modes) then
-        invalid_arg
-          (Printf.sprintf "shardscale: unknown mode %S (try: %s)" m
-             (String.concat ", " shardscale_modes)))
-    modes;
+  check_names "shardscale: unknown mode" ~known:shardscale_modes modes;
   if ks = [] then invalid_arg "shardscale: empty K list";
   let kmax = List.fold_left max 1 ks in
   let attempt_timeout = 0.5 and deadline = 2.0 in
-  let t_start = 0.25 in
   let duration = float_of_int arrivals /. rate in
   (* Zipf(1.2) over the shard space, inverse-CDF sampled from a seeded
      generator — hot shard 0 draws roughly a third of the arrivals. *)
@@ -1413,88 +1230,48 @@ let shardscale ?(ks = [ 1; 2; 4 ]) ?(clients = 8) ?(shards = 16)
         ~policy:Select_replica.Hash ~shard_map:map sw
     in
     let coord = Option.get s.Stacks.fos_coord in
-    let replicas = s.Stacks.fos_replicas in
     let rb_opt =
       if mode <> "zipf-rebalance" then None
       else
-        let shard_load () =
-          let acc = Array.make shards 0 in
-          Array.iter
-            (fun cl ->
-              Array.iteri
-                (fun i v -> acc.(i) <- acc.(i) + v)
-                (Select_replica.shard_calls cl))
-            replicas;
-          acc
-        in
         Some
           (Rebalance.create ~host:s.Stacks.fos_clients.(0) ~coord
              ~replica_health:(fun _ -> `Up)
-             ~shard_load ~interval:0.05 ~skew_ratio:1.5 ~on_crash:false
-             ~on_skew:true ())
+             ~shard_load:
+               (Rebalance.summed_shard_load s.Stacks.fos_replicas ~shards)
+             ~interval:0.05 ~skew_ratio:1.5 ~on_crash:false ~on_skew:true ())
     in
-    let zipf_st = Random.State.make [| seed; 77; servers |] in
-    let zipf_key () =
-      let u = Random.State.float zipf_st zipf_cdf.(shards - 1) in
-      let rec find i = if u <= zipf_cdf.(i) then i else find (i + 1) in
-      find 0
+    (* One key per arrival, drawn in arrival order whether or not the
+       arrival is later shed. *)
+    let keys =
+      let zipf_st = Random.State.make [| seed; 77; servers |] in
+      Array.init arrivals (fun k ->
+          if mode = "uniform" then k
+          else
+            let u = Random.State.float zipf_st zipf_cdf.(shards - 1) in
+            let rec find i = if u <= zipf_cdf.(i) then i else find (i + 1) in
+            find 0)
     in
-    let m = Array.length s.Stacks.fos_clients in
-    let hist = Load.new_hist () in
-    let completed = ref 0 and failed = ref 0 and shed = ref 0 in
-    let pending = ref 0 and pending_max = ref 0 in
-    let t_end = ref 0. and t0 = ref t_start in
-    let dispatched_all = ref false in
-    let one_call i ~key =
-      let t = Sim.now sim in
-      (match s.Stacks.fos_call i ~key ~command:Stacks.cmd_null Msg.empty with
-      | Ok _ -> incr completed
-      | Error _ -> incr failed);
-      let now = Sim.now sim in
-      Histogram.record hist (Load.us_of (now -. t));
-      if now > !t_end then t_end := now;
-      decr pending
+    let o =
+      Load.open_loop ~clients:(Array.length s.Stacks.fos_clients)
+        ~warm:(warm_replicas s ~servers) ~start_at:t_start
+        ~on_start:(fun ~drained:_ ->
+          (* The warm calls may run past [t_start] on the cold switched
+             path, so the measured window starts when dispatch does —
+             and the rebalancer's tick window follows it. *)
+          (match rb_opt with
+          | Some rb -> Rebalance.start rb ~until:(Sim.now sim +. duration)
+          | None -> ());
+          Array.iter
+            (fun (h : Host.t) -> Machine.reset_cpu_seconds h.Host.mach)
+            s.Stacks.fos_servers)
+        ~arrival:Load.Uniform ~rate ~arrivals ~window
+        ~call:(fun ~client k ->
+          s.Stacks.fos_call client ~key:keys.(k) ~command:Stacks.cmd_null
+            Msg.empty)
+        w
     in
-    let dispatcher () =
-      let now = Sim.now sim in
-      if t_start > now then Sim.delay sim (t_start -. now);
-      (* The warm calls may run past [t_start] on the cold switched
-         path, so the measured window starts when dispatch does — and
-         the rebalancer's tick window follows it. *)
-      t0 := Sim.now sim;
-      (match rb_opt with
-      | Some rb -> Rebalance.start rb ~until:(!t0 +. duration)
-      | None -> ());
-      Array.iter
-        (fun (h : Host.t) -> Machine.reset_cpu_seconds h.Host.mach)
-        s.Stacks.fos_servers;
-      for k = 0 to arrivals - 1 do
-        let key = if mode = "uniform" then k else zipf_key () in
-        if !pending >= window then incr shed
-        else begin
-          incr pending;
-          if !pending > !pending_max then pending_max := !pending;
-          Sim.spawn sim (fun () -> one_call (k mod m) ~key)
-        end;
-        if k < arrivals - 1 then Sim.delay sim (1. /. rate)
-      done;
-      dispatched_all := true
-    in
-    let warm_left = ref m in
-    for i = 0 to m - 1 do
-      World.spawn w (fun () ->
-          for _ = 1 to servers do
-            ignore (s.Stacks.fos_call i ~command:Stacks.cmd_null Msg.empty)
-          done;
-          decr warm_left;
-          if !warm_left = 0 then Sim.spawn sim dispatcher)
-    done;
-    World.run w;
-    assert !dispatched_all;
-    let lost = arrivals - !completed - !failed - !shed in
-    let goodput =
-      if !t_end > !t0 then float_of_int !completed /. (!t_end -. !t0) else 0.
-    in
+    let lost = lost_calls ~arrivals o in
+    let goodput = goodput o.Load.o_completed (o.Load.o_t_end -. o.Load.o_t0) in
     let cpu_each =
       Array.map
         (fun (h : Host.t) -> Machine.cpu_seconds h.Host.mach)
@@ -1502,16 +1279,10 @@ let shardscale ?(ks = [ 1; 2; 4 ]) ?(clients = 8) ?(shards = 16)
     in
     let cpu_sum = Array.fold_left ( +. ) 0. cpu_each in
     let cpu_max = Array.fold_left Float.max 0. cpu_each in
-    let sum_counter name =
-      List.fold_left
-        (fun acc (_, counters) ->
-          acc + (try List.assoc name counters with Not_found -> 0))
-        0 (Stats.dump ())
-    in
     let moved = Shard_map.Coordinator.moved coord in
-    let p q = float_of_int (Histogram.percentile hist q) /. 1e3 in
+    let hist = o.Load.o_hist in
     pr "%16s %2d %8.0f %8.0f %8.2f %8.2f %6d %6d %6d\n%!" mode servers rate
-      goodput (p 50.) (p 99.) !shed moved lost;
+      goodput (ms hist 50.) (ms hist 99.) o.Load.o_shed moved lost;
     Json.Obj
       [
         ("table", Json.Str "shardscale");
@@ -1523,9 +1294,9 @@ let shardscale ?(ks = [ 1; 2; 4 ]) ?(clients = 8) ?(shards = 16)
         ("seed", Json.Int seed);
         ("offered_rps", Json.Float rate);
         ("arrivals", Json.Int arrivals);
-        ("completed", Json.Int !completed);
-        ("failed", Json.Int !failed);
-        ("shed", Json.Int !shed);
+        ("completed", Json.Int o.Load.o_completed);
+        ("failed", Json.Int o.Load.o_failed);
+        ("shed", Json.Int o.Load.o_shed);
         ("lost_calls", Json.Int lost);
         ("goodput_rps", Json.Float goodput);
         ("moved_shards", Json.Int moved);
@@ -1535,9 +1306,9 @@ let shardscale ?(ks = [ 1; 2; 4 ]) ?(clients = 8) ?(shards = 16)
         ("server_cpu_max_us", Json.Int (Load.us_of cpu_max));
         ("attempt_timeout_us", Json.Int (Load.us_of attempt_timeout));
         ("deadline_us", Json.Int (Load.us_of deadline));
-        ("pending_max", Json.Int !pending_max);
-        ("p50_ms", Json.Float (p 50.));
-        ("p99_ms", Json.Float (p 99.));
+        ("pending_max", Json.Int o.Load.o_pending_max);
+        ("p50_ms", Json.Float (ms hist 50.));
+        ("p99_ms", Json.Float (ms hist 99.));
         ("latency_us", Histogram.to_json hist);
       ]
   in

@@ -310,8 +310,6 @@ let install ~host ~ip ?(cacheable = []) ?(ttl = 2.0) ?(capacity = 1024) () =
     (Some (fun ~src ~dst ~proto_num msg -> hook t ~src ~dst ~proto_num msg));
   t
 
-let uninstall t = Netproto.Ip.set_forward_hook t.ip None
-let set_cacheable t ~command = Hashtbl.replace t.cacheable command ()
 let stats t = t.stats
 let hits t = Stats.value t.c_hits
 let misses t = Stats.value t.c_misses

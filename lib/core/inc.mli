@@ -46,8 +46,6 @@ val install :
     Registers a stats table named ["<host>/INC"] with counters [hits],
     [misses], [sheds], [forwarded], [stored] and [invalidated]. *)
 
-val uninstall : t -> unit
-val set_cacheable : t -> command:int -> unit
 val stats : t -> Xkernel.Stats.t
 
 val hits : t -> int

@@ -53,3 +53,16 @@ val tick : t -> unit
 
 val moves : t -> int
 (** Shards moved by decisions taken so far. *)
+
+(** {2 Signals aggregated over the clients' REPLICA layers} *)
+
+val majority_health : Select_replica.t array -> int -> [ `Up | `Dead ]
+(** [majority_health replicas i] is [`Dead] when at least half of the
+    clients' health machines ([replicas], one per client) hold replica
+    [i] [Dead] — a [replica_health] for {!create}. *)
+
+val summed_shard_load :
+  Select_replica.t array -> shards:int -> unit -> int array
+(** [summed_shard_load replicas ~shards] sums the clients'
+    {!Select_replica.shard_calls} over [shards] shards — a cumulative
+    [shard_load] for {!create}. *)

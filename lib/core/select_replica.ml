@@ -103,7 +103,6 @@ let probes_ok t = Stats.value t.c_probe_ok
 let map_version t =
   match t.map with None -> 0 | Some m -> Shard_map.version m
 
-let current_map t = t.map
 let shard_calls t = Array.copy t.shard_calls
 let set_refresh t f = t.on_refresh <- Some f
 

@@ -182,8 +182,6 @@ val install_map : t -> Shard_map.t -> bool
 val map_version : t -> int
 (** Version of the installed map; 0 when none. *)
 
-val current_map : t -> Shard_map.t option
-
 val set_refresh : t -> (unit -> unit) -> unit
 (** Hook invoked on a wrong-shard answer before re-routing — typically
     a pull of the coordinator's current map into this client. *)

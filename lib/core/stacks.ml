@@ -426,17 +426,6 @@ let lrpc_switched ?adaptive ?rto_load_floor ?n_channels ?policy
   in
   ({ stack with fos_name = "L.RPC-VIP-SWITCHED" }, inc)
 
-let mrpc_switched ?lower ?n_channels ?policy ?attempt_timeout ?deadline
-    ?max_failovers ?probation ?probe_limit ?probe_timeout ?dead_retry_interval
-    ?drain_deadline ?shard_map ?map_delay ?map_jitter (sw : World.switched) =
-  let stack =
-    mrpc_fanout ?lower ?n_channels ?policy ?attempt_timeout ?deadline
-      ?max_failovers ?probation ?probe_limit ?probe_timeout
-      ?dead_retry_interval ?drain_deadline ?shard_map ?map_delay ?map_jitter
-      sw.World.sw
-  in
-  { stack with fos_name = stack.fos_name ^ "-SWITCHED" }
-
 (* SELECT-CHANNEL-VIPsize, with FRAGMENT moved below VIPsize and
    VIPaddr below both (Figure 3(b)). *)
 let lrpc_vip_size_node (n : World.node) =

@@ -212,26 +212,6 @@ val lrpc_switched :
     cache); omitted, the switch is a plain forwarder and the second
     component is [None]. *)
 
-val mrpc_switched :
-  ?lower:mono_lower ->
-  ?n_channels:int ->
-  ?policy:Select_replica.policy ->
-  ?attempt_timeout:float ->
-  ?deadline:float ->
-  ?max_failovers:int ->
-  ?probation:float ->
-  ?probe_limit:int ->
-  ?probe_timeout:float ->
-  ?dead_retry_interval:float ->
-  ?drain_deadline:float ->
-  ?shard_map:Shard_map.t ->
-  ?map_delay:float ->
-  ?map_jitter:float ->
-  Netproto.World.switched ->
-  fanout_stack
-(** {!mrpc_fanout} over the switched star.  The monolithic wire format
-    is opaque to {!Inc}, so there is no caching variant. *)
-
 val lrpc_vip_size : Netproto.World.t -> endpoints
 (** SELECT-CHANNEL-VIPsize with FRAGMENT below VIPsize and VIPaddr at
     the bottom (Figure 3(b)) — the section 4.3 configuration that

@@ -140,8 +140,6 @@ let block_pair w ~from ~to_ =
 let unblock_pair w ~from ~to_ =
   Hashtbl.remove w.blocked (from.tap_id, to_.tap_id)
 
-let unblock_all w = Hashtbl.reset w.blocked
-
 let pair_blocked w ~from ~to_ =
   Hashtbl.mem w.blocked (from.tap_id, to_.tap_id)
 

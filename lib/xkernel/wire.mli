@@ -93,7 +93,6 @@ val draw_faults : t -> Msg.t -> fault list
 
 val block_pair : t -> from:attachment -> to_:attachment -> unit
 val unblock_pair : t -> from:attachment -> to_:attachment -> unit
-val unblock_all : t -> unit
 val pair_blocked : t -> from:attachment -> to_:attachment -> bool
 
 val set_down : t -> bool -> unit

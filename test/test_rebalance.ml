@@ -247,28 +247,11 @@ let mrpc_chaos_run () =
     ];
   let coord = Option.get s.Stacks.fos_coord in
   let replicas = s.Stacks.fos_replicas in
-  let replica_health r =
-    let dead =
-      Array.fold_left
-        (fun n cl ->
-          if Select_replica.health cl r = Select_replica.Dead then n + 1 else n)
-        0 replicas
-    in
-    if 2 * dead >= Array.length replicas then `Dead else `Up
-  in
-  let shard_load () =
-    let acc = Array.make 8 0 in
-    Array.iter
-      (fun cl ->
-        Array.iteri
-          (fun i v -> acc.(i) <- acc.(i) + v)
-          (Select_replica.shard_calls cl))
-      replicas;
-    acc
-  in
   let rb =
-    Rebalance.create ~host:s.Stacks.fos_clients.(0) ~coord ~replica_health
-      ~shard_load ~interval:0.025 ~on_skew:false ()
+    Rebalance.create ~host:s.Stacks.fos_clients.(0) ~coord
+      ~replica_health:(Rebalance.majority_health replicas)
+      ~shard_load:(Rebalance.summed_shard_load replicas ~shards:8)
+      ~interval:0.025 ~on_skew:false ()
   in
   Rebalance.start rb ~until:0.8;
   let completed = ref 0 and failed = ref 0 and shed = ref 0 in
