@@ -37,7 +37,8 @@
       arrival that finds the window full is {e shed} and counted
       rather than queued without bound.  Every other arrival runs
       [call ~client k] in a fiber of its own, spawned at its arrival
-      instant, so completed + failed + shed = arrivals.
+      instant; once every call has returned, completed + failed + shed
+      = arrivals.
     - {b Latency.}  Every resolved call — [Ok] or [Error] — records its
       arrival-to-reply time in microseconds into its client's
       histogram; [t_end] is the last resolution.
