@@ -106,25 +106,29 @@ let break_stream t c =
 
 (* Arming and cancelling both yield (timer bookkeeping is charged), so
    a generation counter decides which timer is current: stale callbacks
-   and stale cancellations are no-ops. *)
+   and stale cancellations are no-ops.  A timer that went stale while
+   [Event.schedule] yielded (an ack cancelled it, or a later arm
+   replaced it) is not stored: [send] arms only when [rto_timer] is
+   [None], so a stale entry would leave the next segment unguarded. *)
 let rec arm_timer t c =
   c.timer_gen <- c.timer_gen + 1;
   let gen = c.timer_gen in
-  c.rto_timer <-
-    Some
-      (Event.schedule t.host t.rto (fun () ->
-           if
-             gen = c.timer_gen
-             && (not c.broken)
-             && not (Queue.is_empty c.unacked)
-           then begin
-             if c.tries_left <= 0 then break_stream t c
-             else begin
-               c.tries_left <- c.tries_left - 1;
-               retransmit_all t c;
-               arm_timer t c
-             end
-           end))
+  let ev =
+    Event.schedule t.host t.rto (fun () ->
+        if
+          gen = c.timer_gen
+          && (not c.broken)
+          && not (Queue.is_empty c.unacked)
+        then begin
+          if c.tries_left <= 0 then break_stream t c
+          else begin
+            c.tries_left <- c.tries_left - 1;
+            retransmit_all t c;
+            arm_timer t c
+          end
+        end)
+  in
+  if gen = c.timer_gen then c.rto_timer <- Some ev
 
 let cancel_timer t c =
   c.timer_gen <- c.timer_gen + 1;

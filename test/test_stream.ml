@@ -171,29 +171,42 @@ let same_code_over_ip_and_vip () =
   Tutil.check_int "IP untouched" 0
     (Tutil.stat (Netproto.Ip.proto (World.node w 0).World.ip) "tx")
 
+(* Send [sizes] through a warmed stream while the wire drops, duplicates
+   and delays frames at random (seeded by [seed]); the receiver must see
+   the exact byte sequence. *)
+let intact_under_faults (seed, sizes) =
+  let w = World.create ~seed () in
+  let s0, _, received = setup w in
+  let conn =
+    Tutil.run_in w (fun () -> Stream.connect s0 ~peer:(World.ip_of w 1))
+  in
+  (* warm, then mild random faults *)
+  send_all w conn [ "w" ];
+  let rng = Random.State.make [| seed |] in
+  Wire.set_fault_hook w.World.wire
+    (Some
+       (fun _ _ ->
+         match Random.State.int rng 12 with
+         | 0 -> [ Wire.Drop ]
+         | 1 -> [ Wire.Duplicate ]
+         | 2 -> [ Wire.Delay 0.002 ]
+         | _ -> []));
+  let chunks = List.map Tutil.body sizes in
+  send_all w conn chunks;
+  String.equal (Buffer.contents received) ("w" ^ String.concat "" chunks)
+
 let prop_integrity_random_chunks_and_faults =
   Tutil.qtest ~count:25 "byte stream intact under random chunks + faults"
     QCheck.(pair (int_bound 1000) (list_of_size (Gen.int_range 1 6) (int_range 1 4000)))
-    (fun (seed, sizes) ->
-      let w = World.create ~seed () in
-      let s0, _, received = setup w in
-      let conn =
-        Tutil.run_in w (fun () -> Stream.connect s0 ~peer:(World.ip_of w 1))
-      in
-      (* warm, then mild random faults *)
-      send_all w conn [ "w" ];
-      let rng = Random.State.make [| seed |] in
-      Wire.set_fault_hook w.World.wire
-        (Some
-           (fun _ _ ->
-             match Random.State.int rng 12 with
-             | 0 -> [ Wire.Drop ]
-             | 1 -> [ Wire.Duplicate ]
-             | 2 -> [ Wire.Delay 0.002 ]
-             | _ -> []));
-      let chunks = List.map Tutil.body sizes in
-      send_all w conn chunks;
-      String.equal (Buffer.contents received) ("w" ^ String.concat "" chunks))
+    intact_under_faults
+
+(* An ack that empties the send queue while [arm_timer] is yielding must
+   not leave a stale timer behind: [send] would then never arm a live
+   one, and a lost segment would never be retransmitted, hanging
+   [flush].  This input hit that window. *)
+let ack_during_timer_arm () =
+  Alcotest.(check bool) "seed 410 delivered" true
+    (intact_under_faults (410, [ 3719; 1489; 506; 791; 2493 ]))
 
 let () =
   Alcotest.run "stream"
@@ -213,6 +226,8 @@ let () =
           Alcotest.test_case "duplication: exactly once" `Quick
             duplication_exactly_once;
           Alcotest.test_case "breaks when peer gone" `Quick breaks_when_peer_gone;
+          Alcotest.test_case "ack during timer arm" `Quick
+            ack_during_timer_arm;
           prop_integrity_random_chunks_and_faults;
         ] );
     ]
