@@ -46,12 +46,12 @@ let merge hists =
   Array.iter (fun h -> Histogram.merge_into ~src:h ~dst:hist) hists;
   hist
 
-let finish (f : World.fanin) (s : Stacks.fan) ~mode ~offered ~arrivals
+let finish (f : World.fanout) (s : Stacks.stack) ~mode ~offered ~arrivals
     ~completed ~failed ~shed ~t0 ~t_end ~bytes0 ~queue_peak ~pending_max
     ~hists =
   let hist = merge hists in
   let elapsed = t_end -. t0 in
-  let wire = f.World.fan.World.wire in
+  let wire = f.World.fo.World.wire in
   let wire_bits = float_of_int (((Wire.stats wire).Wire.bytes - bytes0) * 8) in
   let achieved_rps =
     if elapsed > 0. then float_of_int completed /. elapsed else 0.
@@ -60,14 +60,14 @@ let finish (f : World.fanin) (s : Stacks.fan) ~mode ~offered ~arrivals
     if elapsed > 0. then wire_bits /. Wire.bandwidth_bps wire /. elapsed
     else 0.
   in
-  let st = Stats.create ~name:("load/" ^ s.Stacks.fan_name) () in
+  let st = Stats.create ~name:("load/" ^ s.Stacks.fos_name) () in
   Stats.set st "queue-depth-max" queue_peak;
   Stats.set st "pending-max" pending_max;
   Stats.set st "shed" shed;
   Stats.set st "completed" completed;
   Stats.set st "wire-util-pct" (int_of_float (wire_util *. 100. +. 0.5));
   {
-    r_config = s.Stacks.fan_name;
+    r_config = s.Stacks.fos_name;
     r_mode = mode;
     offered_rps = offered;
     achieved_rps;
@@ -84,11 +84,11 @@ let finish (f : World.fanin) (s : Stacks.fan) ~mode ~offered ~arrivals
   }
 
 let run_closed ?(fibers = 8) ?(calls = 25) ?(warmup = 2) ?(think = 0.)
-    ?(size = 0) (f : World.fanin) (s : Stacks.fan) =
+    ?(size = 0) (f : World.fanout) (s : Stacks.stack) =
   if fibers < 1 then invalid_arg "Load.run_closed: fibers < 1";
-  let w = f.World.fan in
+  let w = f.World.fo in
   let sim = w.World.sim in
-  let m = Array.length f.World.clients in
+  let m = Array.length f.World.fo_clients in
   let hists = Array.init m (fun _ -> new_hist ()) in
   let completed = ref 0 and failed = ref 0 in
   let t0 = ref 0. and t_end = ref 0. and bytes0 = ref 0 in
@@ -100,7 +100,7 @@ let run_closed ?(fibers = 8) ?(calls = 25) ?(warmup = 2) ?(think = 0.)
     let i = k mod m in
     World.spawn w (fun () ->
         for _ = 1 to warmup do
-          ignore (s.Stacks.fan_call i ~command:Stacks.cmd_null Msg.empty)
+          ignore (s.Stacks.fos_call i ~command:Stacks.cmd_null Msg.empty)
         done;
         decr warm_left;
         if !warm_left = 0 then begin
@@ -108,14 +108,14 @@ let run_closed ?(fibers = 8) ?(calls = 25) ?(warmup = 2) ?(think = 0.)
           t0 := Sim.now sim;
           t_end := !t0;
           bytes0 := (Wire.stats w.World.wire).Wire.bytes;
-          spawn_queue_sampler w s.Stacks.fan_server.Host.mach queue_peak
+          spawn_queue_sampler w s.Stacks.fos_servers.(0).Host.mach queue_peak
             ~until:(fun () -> !running = 0);
           Sim.Ivar.fill gate ()
         end;
         Sim.Ivar.read gate;
         for _ = 1 to calls do
           let t = Sim.now sim in
-          (match s.Stacks.fan_call i ~command:Stacks.cmd_null payload with
+          (match s.Stacks.fos_call i ~command:Stacks.cmd_null payload with
           | Ok _ -> incr completed
           | Error _ -> incr failed);
           let now = Sim.now sim in
@@ -246,23 +246,23 @@ let open_loop ~clients ~warm ?(start_at = 0.)
   }
 
 let run_open ?(arrival = Poisson) ?(arrivals = 200) ?(window = 32)
-    ?(warmup = 1) ?(size = 0) ~rate (f : World.fanin) (s : Stacks.fan) =
-  let w = f.World.fan in
+    ?(warmup = 1) ?(size = 0) ~rate (f : World.fanout) (s : Stacks.stack) =
+  let w = f.World.fo in
   let payload = payload_of size in
   let bytes0 = ref 0 and queue_peak = ref 0 in
   let o =
-    open_loop ~clients:(Array.length f.World.clients)
+    open_loop ~clients:(Array.length f.World.fo_clients)
       ~warm:(fun i ->
         for _ = 1 to max 1 warmup do
-          ignore (s.Stacks.fan_call i ~command:Stacks.cmd_null Msg.empty)
+          ignore (s.Stacks.fos_call i ~command:Stacks.cmd_null Msg.empty)
         done)
       ~on_start:(fun ~drained ->
         bytes0 := (Wire.stats w.World.wire).Wire.bytes;
-        spawn_queue_sampler w s.Stacks.fan_server.Host.mach queue_peak
+        spawn_queue_sampler w s.Stacks.fos_servers.(0).Host.mach queue_peak
           ~until:drained)
       ~arrival ~rate ~arrivals ~window
       ~call:(fun ~client _ ->
-        s.Stacks.fan_call client ~command:Stacks.cmd_null payload)
+        s.Stacks.fos_call client ~command:Stacks.cmd_null payload)
       w
   in
   let mode =

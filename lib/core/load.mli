@@ -7,15 +7,15 @@
     saturation, and where is the knee?  It has two drivers:
 
     - {b closed loop} ({!run_closed}): N client fibers spread across
-      the client hosts of a {!Netproto.World.fanin}, each issuing
+      the client hosts of a {!Netproto.World.fanout}, each issuing
       back-to-back calls with optional think time.  Offered load is
       implicit (throughput = concurrency / round trip) and the system
       can never be overrun — the classic benchmarking loop, which is
       exactly why it hides overload.
     - {b open loop} ({!open_loop}): the one open-loop driver.  It runs
-      any call function over any world; {!run_open} (the {!Stacks.fan}
-      capacity sweep) and the failover, rebalance, overload, INC and
-      shardscale experiments are all thin callers.
+      any call function over any world; {!run_open} (the capacity
+      sweep over a {!Stacks.build} stack) and the failover, rebalance,
+      overload, INC and shardscale experiments are all thin callers.
 
     {2 Open-loop semantics}
 
@@ -50,7 +50,7 @@
 
     Everything is deterministic for a fixed world seed: same
     configuration, same JSON, byte for byte.  {!run_open} and
-    {!run_closed} also sample the server's run-queue depth and export
+    {!run_closed} also sample server 0's run-queue depth and export
     it — with wire utilization, shed and pending peaks — as gauges in a
     registered [load/<config>] {!Xkernel.Stats} table. *)
 
@@ -60,7 +60,7 @@ type arrival = Uniform | Poisson
     aggregated independent callers). *)
 
 type result = {
-  r_config : string;  (** {!Stacks.fan.fan_name} *)
+  r_config : string;  (** {!Stacks.stack.fos_name} *)
   r_mode : string;  (** ["closed"], ["open-uniform"] or ["open-poisson"] *)
   offered_rps : float;
       (** configured arrival rate (open loop); achieved rate (closed
@@ -92,10 +92,10 @@ val run_closed :
   ?warmup:int ->
   ?think:float ->
   ?size:int ->
-  Netproto.World.fanin ->
-  Stacks.fan ->
+  Netproto.World.fanout ->
+  Stacks.stack ->
   result
-(** [run_closed fanin fan] spreads [fibers] (default 8) closed-loop
+(** [run_closed fanout stack] spreads [fibers] (default 8) closed-loop
     fibers round-robin across the client hosts; each issues [warmup]
     (default 2, unrecorded) then [calls] (default 25) null-procedure
     calls of [size] bytes (default 0), sleeping [think] seconds
@@ -149,10 +149,10 @@ val run_open :
   ?warmup:int ->
   ?size:int ->
   rate:float ->
-  Netproto.World.fanin ->
-  Stacks.fan ->
+  Netproto.World.fanout ->
+  Stacks.stack ->
   result
-(** [run_open ~rate fanin fan] is {!open_loop} with null-procedure
+(** [run_open ~rate fanout stack] is {!open_loop} with null-procedure
     calls of [size] bytes (default 0): [arrivals] (default 200)
     arrivals at [rate] ([arrival] defaults to {!Poisson}), each client
     host first making [warmup] (default 1, at least 1) unrecorded

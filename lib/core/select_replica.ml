@@ -14,6 +14,39 @@ type endpoint = {
     (Msg.t, Rpc_error.t) result;
 }
 
+type config = {
+  policy : policy;
+  attempt_timeout : float;
+  deadline : float;
+  max_failovers : int option;
+  probation : float;
+  probe_limit : int;
+  probe_command : int;
+  propagate_deadline : bool;
+  retry_budget : float option;
+  hedge : bool;
+  probe_timeout : float option;
+  dead_retry_interval : float option;
+  drain_deadline : float option;
+}
+
+let default =
+  {
+    policy = Round_robin;
+    attempt_timeout = 0.25;
+    deadline = 1.0;
+    max_failovers = None;
+    probation = 0.1;
+    probe_limit = 3;
+    probe_command = 1;
+    propagate_deadline = false;
+    retry_budget = None;
+    hedge = false;
+    probe_timeout = None;
+    dead_retry_interval = None;
+    drain_deadline = None;
+  }
+
 type replica = {
   r_idx : int;
   r_addr : Addr.Ip.t;
@@ -42,27 +75,17 @@ type t = {
   host : Host.t;
   p : Proto.t;
   replicas : replica array;
-  policy : policy;
-  attempt_timeout : float;
-  deadline : float;
-  max_failovers : int;
-  probation : float;
-  probe_limit : int;
-  probe_command : int;
+  cfg : config;
+  max_failovers : int; (* [cfg.max_failovers], defaulted to K-1 *)
   rng : Random.State.t;
   stats : Stats.t;
   mutable rr : int; (* round-robin cursor *)
-  (* Overload governance (all off by default). *)
-  propagate_deadline : bool;
-  retry_budget : float option; (* tokens earned per call; None = unlimited *)
+  (* Overload governance: the retry-budget bucket (unlimited when
+     [cfg.retry_budget] is None) and the hedge-delay histogram. *)
   token_cap : float;
   mutable tokens : float;
-  hedge : bool;
   h_lat : Histogram.t; (* successful-call latency, for the hedge delay *)
   (* Sharded routing (all inert until a map is installed). *)
-  drain_deadline : float option;
-  probe_timeout : float option;
-  dead_retry_interval : float option;
   mutable map : Shard_map.t option;
   mutable on_refresh : (unit -> unit) option;
   mutable shard_calls : int array; (* per-shard routed-call counts *)
@@ -130,7 +153,7 @@ let mark_healthy t r =
 (* Seeded jitter keeps a fleet of clients that suspected a replica
    together from probing it in lockstep forever. *)
 let probe_delay t fails =
-  t.probation
+  t.cfg.probation
   *. (2. ** float_of_int fails)
   *. (1. +. (0.2 *. Random.State.float t.rng 1.))
 
@@ -139,14 +162,14 @@ let probe_delay t fails =
    the lower stack's full RTO ladder.  A bounded probe that completes
    late with [Ok] still heals the replica, like any late success. *)
 let probe_once t r =
-  match t.probe_timeout with
-  | None -> r.r_call ~command:t.probe_command Msg.empty
+  match t.cfg.probe_timeout with
+  | None -> r.r_call ~command:t.cfg.probe_command Msg.empty
   | Some pt -> (
       let sim = Host.sim t.host in
       let iv = Sim.Ivar.create sim in
       let settled = ref false in
       Sim.spawn sim (fun () ->
-          let res = r.r_call ~command:t.probe_command Msg.empty in
+          let res = r.r_call ~command:t.cfg.probe_command Msg.empty in
           if !settled then begin
             match res with Ok _ -> mark_healthy t r | Error _ -> ()
           end
@@ -181,9 +204,9 @@ let rec arm_probe t r ~delay =
                  mark_healthy t r
              | Error _ ->
                  r.r_probe_fails <- r.r_probe_fails + 1;
-                 if r.r_probe_fails >= t.probe_limit then begin
+                 if r.r_probe_fails >= t.cfg.probe_limit then begin
                    r.r_health <- Dead;
-                   (match t.dead_retry_interval with
+                   (match t.cfg.dead_retry_interval with
                    | Some iv ->
                        r.r_next_retry <- Sim.now (Host.sim t.host) +. iv
                    | None -> ());
@@ -202,7 +225,7 @@ let rec arm_probe t r ~delay =
    replica never returns.  Seeded jitter staggers a fleet of clients
    that buried the replica together. *)
 let maybe_retry_dead t =
-  match t.dead_retry_interval with
+  match t.cfg.dead_retry_interval with
   | None -> ()
   | Some interval ->
       let sim = Host.sim t.host in
@@ -236,12 +259,12 @@ let mark_suspect t r =
    roughly [ratio] of the offered load no matter how hard the servers
    are struggling — the amplification governor. *)
 let earn_token t =
-  match t.retry_budget with
+  match t.cfg.retry_budget with
   | None -> ()
   | Some ratio -> t.tokens <- Float.min t.token_cap (t.tokens +. ratio)
 
 let take_token t =
-  match t.retry_budget with
+  match t.cfg.retry_budget with
   | None -> true
   | Some _ ->
       if t.tokens >= 1. then begin
@@ -358,7 +381,7 @@ let health_walk t ~start =
 let order t ~key =
   let k = Array.length t.replicas in
   let start =
-    match (t.policy, key) with
+    match (t.cfg.policy, key) with
     | Hash, Some key -> ((key mod k) + k) mod k
     | Hash, None | Round_robin, _ ->
         let c = t.rr in
@@ -373,7 +396,7 @@ let order t ~key =
    returned stamp travels with the request so an ex-owner can refuse
    it. *)
 let route t ~key =
-  match (t.policy, key, t.map) with
+  match (t.cfg.policy, key, t.map) with
   | Hash, Some key, Some m ->
       let shard = Shard_map.shard_of_key m key in
       let start = Shard_map.owner m ~shard mod Array.length t.replicas in
@@ -410,7 +433,7 @@ let install_map t m =
     Stats.set t.stats "map-version" (Shard_map.version m);
     Trace.debugf (Host.sim t.host) ~host:t.host.Host.name
       "REPLICA installs shard map v%d" (Shard_map.version m);
-    (match (old, t.drain_deadline) with
+    (match (old, t.cfg.drain_deadline) with
     | Some o, Some d ->
         let changed = Shard_map.diff o m in
         let doomed =
@@ -449,8 +472,8 @@ let call t ?key ~command msg =
   end
   else begin
     let t0 = Sim.now sim in
-    let deadline_at = t0 +. t.deadline in
-    let expires = if t.propagate_deadline then Some deadline_at else None in
+    let deadline_at = t0 +. t.cfg.deadline in
+    let expires = if t.cfg.propagate_deadline then Some deadline_at else None in
     let max_attempts = min (t.max_failovers + 1) (Array.length t.replicas) in
     let rec go ~refreshed ~stamp tried last_err = function
       | [] -> Error last_err
@@ -464,10 +487,10 @@ let call t ?key ~command msg =
           end
           else begin
             if tried > 0 then Stats.tick t.c_failover;
-            let budget = Float.min t.attempt_timeout remaining in
+            let budget = Float.min t.cfg.attempt_timeout remaining in
             let hedge_to =
               if
-                t.hedge && tried = 0 && rest <> []
+                t.cfg.hedge && tried = 0 && rest <> []
                 && Histogram.count t.h_lat >= hedge_min_samples
               then
                 let p99 =
@@ -542,35 +565,26 @@ let call t ?key ~command msg =
     res
   end
 
-let create ~host ?(policy = Round_robin) ?(attempt_timeout = 0.25)
-    ?(deadline = 1.0) ?max_failovers ?(probation = 0.1) ?(probe_limit = 3)
-    ?(probe_command = 1) ?(propagate_deadline = false) ?retry_budget
-    ?(hedge = false) ?probe_timeout ?dead_retry_interval ?drain_deadline
-    ?shard_map ?(below = []) ~endpoints () =
+let create ~host ?(config = default) ?shard_map ?(below = []) ~endpoints () =
   let k = Array.length endpoints in
-  if k < 1 then invalid_arg "Select_replica.create: no endpoints";
-  if attempt_timeout <= 0. then
-    invalid_arg "Select_replica.create: attempt_timeout <= 0";
-  if deadline <= 0. then invalid_arg "Select_replica.create: deadline <= 0";
-  (match retry_budget with
-  | Some r when r < 0. -> invalid_arg "Select_replica.create: retry_budget < 0"
-  | _ -> ());
-  (match probe_timeout with
-  | Some v when v <= 0. -> invalid_arg "Select_replica.create: probe_timeout <= 0"
-  | _ -> ());
-  (match dead_retry_interval with
-  | Some v when v <= 0. ->
-      invalid_arg "Select_replica.create: dead_retry_interval <= 0"
-  | _ -> ());
-  (match drain_deadline with
-  | Some v when v < 0. ->
-      invalid_arg "Select_replica.create: drain_deadline < 0"
-  | _ -> ());
-  let max_failovers =
-    match max_failovers with
-    | Some n when n >= 0 -> n
-    | Some _ -> invalid_arg "Select_replica.create: max_failovers < 0"
-    | None -> k - 1
+  let check ok what =
+    if not ok then invalid_arg ("Select_replica.create: " ^ what)
+  in
+  let positive = Option.fold ~none:true ~some:(fun v -> v > 0.) in
+  let non_negative = Option.fold ~none:true ~some:(fun v -> v >= 0.) in
+  check (k >= 1) "no endpoints";
+  check (config.attempt_timeout > 0.) "attempt_timeout <= 0";
+  check (config.deadline > 0.) "deadline <= 0";
+  check (non_negative config.retry_budget) "retry_budget < 0";
+  check (positive config.probe_timeout) "probe_timeout <= 0";
+  check (positive config.dead_retry_interval) "dead_retry_interval <= 0";
+  check (non_negative config.drain_deadline) "drain_deadline < 0";
+  let max_failovers = Option.value config.max_failovers ~default:(k - 1) in
+  check (max_failovers >= 0) "max_failovers < 0";
+  let token_cap =
+    match config.retry_budget with
+    | Some r -> Float.max 1. (10. *. r)
+    | None -> 0.
   in
   let p = Proto.create ~host ~name:"REPLICA" ~virtual_:true () in
   let stats = Proto.stats p in
@@ -591,29 +605,14 @@ let create ~host ?(policy = Round_robin) ?(attempt_timeout = 0.25)
               r_next_retry = 0.;
             })
           endpoints;
-      policy;
-      attempt_timeout;
-      deadline;
+      cfg = config;
       max_failovers;
-      probation;
-      probe_limit;
-      probe_command;
       rng = Sim.rng (Host.sim host);
       stats;
       rr = 0;
-      propagate_deadline;
-      retry_budget;
-      token_cap =
-        (match retry_budget with
-        | Some r -> Float.max 1. (10. *. r)
-        | None -> 0.);
-      tokens =
-        (match retry_budget with Some r -> Float.max 1. (10. *. r) | None -> 0.);
-      hedge;
+      token_cap;
+      tokens = token_cap;
       h_lat = Histogram.create ~max_value:100_000_000 ();
-      drain_deadline;
-      probe_timeout;
-      dead_retry_interval;
       map = None;
       on_refresh = None;
       shard_calls = [||];
@@ -667,35 +666,3 @@ let create ~host ?(policy = Round_robin) ?(attempt_timeout = 0.25)
   set_gauges t;
   (match shard_map with Some m -> ignore (install_map t m) | None -> ());
   t
-
-let of_select ~host ~select ~servers ?policy ?attempt_timeout ?deadline
-    ?max_failovers ?probation ?probe_limit ?probe_command ?propagate_deadline
-    ?retry_budget ?hedge ?probe_timeout ?dead_retry_interval ?drain_deadline
-    ?shard_map () =
-  let endpoints =
-    Array.map
-      (fun addr ->
-        (* Connect lazily, from inside the first calling fiber, like
-           every Stacks builder does. *)
-        let cl = ref None in
-        {
-          ep_addr = addr;
-          ep_call =
-            (fun ?expires ?shard ~command msg ->
-              let c =
-                match !cl with
-                | Some c -> c
-                | None ->
-                    let c = Select.connect select ~server:addr in
-                    cl := Some c;
-                    c
-              in
-              Select.call c ?expires ?shard ~command msg);
-        })
-      servers
-  in
-  create ~host ?policy ?attempt_timeout ?deadline ?max_failovers ?probation
-    ?probe_limit ?probe_command ?propagate_deadline ?retry_budget ?hedge
-    ?probe_timeout ?dead_retry_interval ?drain_deadline ?shard_map
-    ~below:[ Select.proto select ]
-    ~endpoints ()

@@ -74,66 +74,50 @@ type endpoint = {
     set; [shard] is the routing stamp attached when a shard map routed
     the call (endpoints whose stack cannot carry it may ignore it). *)
 
+type config = {
+  policy : policy;
+  attempt_timeout : float;  (** bounds each per-replica attempt *)
+  deadline : float;  (** bounds the whole call, failovers included *)
+  max_failovers : int option;  (** cap on extra attempts; [None] = K-1 *)
+  probation : float;
+      (** base suspect-to-probe delay, doubled per failed probe with
+          seeded jitter from the simulator rng *)
+  probe_limit : int;  (** failed probes before [Dead] *)
+  probe_command : int;  (** the recovery probe's procedure *)
+  propagate_deadline : bool;
+  retry_budget : float option;  (** tokens earned per call *)
+  hedge : bool;
+  probe_timeout : float option;
+      (** bounds each recovery probe; [None] leaves it to the lower
+          stack's RTO ladder *)
+  dead_retry_interval : float option;
+      (** re-probe [Dead] replicas from the call path every interval
+          (with seeded jitter), so a replica that reboots heals back
+          instead of staying buried *)
+  drain_deadline : float option;
+      (** bounds graceful handoff (see {!install_map}) *)
+}
+(** The layer's settings; the governance knobs are described above. *)
+
+val default : config
+(** [Round_robin], [attempt_timeout] 0.25 s, [deadline] 1 s,
+    [max_failovers] K-1, [probation] 0.1 s, [probe_limit] 3,
+    [probe_command] 1 (the null procedure), and every governance and
+    sharding knob off. *)
+
 val create :
   host:Xkernel.Host.t ->
-  ?policy:policy ->
-  ?attempt_timeout:float ->
-  ?deadline:float ->
-  ?max_failovers:int ->
-  ?probation:float ->
-  ?probe_limit:int ->
-  ?probe_command:int ->
-  ?propagate_deadline:bool ->
-  ?retry_budget:float ->
-  ?hedge:bool ->
-  ?probe_timeout:float ->
-  ?dead_retry_interval:float ->
-  ?drain_deadline:float ->
+  ?config:config ->
   ?shard_map:Shard_map.t ->
   ?below:Xkernel.Proto.t list ->
   endpoints:endpoint array ->
   unit ->
   t
-(** [create ~host ~endpoints ()] is a replica map over [endpoints].
-    [attempt_timeout] (default 0.25 s) bounds each per-replica attempt;
-    [deadline] (default 1 s) bounds the whole call including all
-    failovers; [max_failovers] (default K-1) caps extra attempts;
-    [probation] (default 0.1 s) is the base suspect-to-probe delay,
-    doubled per failed probe with seeded jitter from the simulator rng;
-    [probe_command] (default 1, the null procedure) is the recovery
-    probe; [below] records the protocol graph for [pp_graph].
-
-    [probe_timeout] bounds each recovery probe (default: unbounded, the
-    lower stack's RTO ladder decides); [dead_retry_interval] re-probes
-    [Dead] replicas from the call path every interval (with seeded
-    jitter) so a replica that reboots heals back instead of staying
-    buried; [drain_deadline] bounds graceful handoff (see
-    {!install_map}); [shard_map] pre-installs a routing map. *)
-
-val of_select :
-  host:Xkernel.Host.t ->
-  select:Select.t ->
-  servers:Xkernel.Addr.Ip.t array ->
-  ?policy:policy ->
-  ?attempt_timeout:float ->
-  ?deadline:float ->
-  ?max_failovers:int ->
-  ?probation:float ->
-  ?probe_limit:int ->
-  ?probe_command:int ->
-  ?propagate_deadline:bool ->
-  ?retry_budget:float ->
-  ?hedge:bool ->
-  ?probe_timeout:float ->
-  ?dead_retry_interval:float ->
-  ?drain_deadline:float ->
-  ?shard_map:Shard_map.t ->
-  unit ->
-  t
-(** [of_select ~host ~select ~servers ()] fronts one {!Select} client
-    instance with one lazily-opened connection per server address —
-    the standard way to build the layer over an L.RPC or M.RPC
-    stack.  Shard stamps are threaded down to {!Select.call}. *)
+(** [create ~host ~endpoints ()] is a replica map over [endpoints] with
+    settings [config] (default {!default}).  [shard_map] pre-installs a
+    routing map; [below] records the protocol graph for [pp_graph].
+    @raise Invalid_argument on an empty [endpoints] or an out-of-range
+    setting. *)
 
 val call :
   t ->

@@ -39,178 +39,106 @@ val lrpc :
     to {!Channel.create} (the loss-sweep experiment builds fixed- and
     adaptive-timeout stacks side by side this way). *)
 
-(** {1 Fan-in configurations}
+(** {1 Many-host configurations}
 
-    The load subsystem ({!Load}) drives M client hosts into one server
-    over a {!Netproto.World.fanin} topology.  Each client host gets its
-    own client-side stack; the server runs a single serving stack with
-    the standard procedures registered. *)
+    One builder for every multi-host shape: M client hosts into K server
+    hosts over a {!Netproto.World.fanout} (all on one wire; the fan-in
+    of the load subsystem is K = 1) or a {!Netproto.World.switched}
+    star (every host on its own access link, all calls through the
+    switch — the remote case of section 3.2, where the switch sees, and
+    may compute on, every RPC).  Each server host runs a serving stack
+    with the standard procedures registered; each client host gets its
+    own client stack. *)
 
-type fan = {
-  fan_name : string;
-  fan_call :
-    int -> command:int -> Xkernel.Msg.t -> (Xkernel.Msg.t, Rpc_error.t) result;
-      (** [fan_call i] runs one RPC from client host [i]; must be
-          called inside a fiber.  Calls from many fibers on the same
-          client queue on that client's channel set. *)
-  fan_clients : Xkernel.Host.t array;
-  fan_server : Xkernel.Host.t;
+type kind =
+  | Layered  (** SELECT-CHANNEL-FRAGMENT-VIP *)
+  | Mono of mono_lower  (** monolithic Sprite RPC over ETH, IP or VIP *)
+
+type config = {
+  kind : kind;
+  adaptive : bool;  (** {!Channel.create}'s adaptive RTO (layered only) *)
+  rto_load_floor : bool;  (** its load floor (layered only) *)
+  n_channels : int;  (** channels per CHANNEL or M.RPC instance *)
+  replica : Select_replica.config option;
+      (** [None]: each client calls server 0 directly through its stack
+          (the fan-in shape).  [Some]: each client fronts its stack with
+          a {!Select_replica} map over all K servers, one lazily-opened
+          binding per server. *)
+  admit : Admit.config option;
+      (** slot an {!Admit} layer between CHANNEL and SELECT on every
+          server (layered only) *)
+  shard_map : Shard_map.t option;
+      (** install the map in every replica map and, on the layered
+          stack, every server SELECT (which then answers wrong-shard);
+          subscribe them all to a MAP coordinator on the first client
+          host ([fos_coord]).  Needs [replica].  The monolithic wire
+          cannot carry shard stamps, so there the map only steers
+          client-side routing. *)
+  inc : int list option;
+      (** install {!Inc} on the switch, caching replies to the listed
+          SELECT commands ({!Switched} only) *)
 }
 
-val mrpc_fanin :
-  ?lower:mono_lower -> ?n_channels:int -> Netproto.World.fanin -> fan
-(** Monolithic Sprite RPC, one instance per client host (default lower
-    [L_vip]), fanned into one server instance. *)
+val default : config
+(** The paper's L.RPC-VIP with {!Channel.create}'s defaults (adaptive
+    RTO with its load floor, 8 channels), no REPLICA, ADMIT, MAP or
+    INC. *)
 
-val lrpc_fanin :
-  ?adaptive:bool ->
-  ?rto_load_floor:bool ->
-  ?n_channels:int ->
-  Netproto.World.fanin ->
-  fan
-(** SELECT-CHANNEL-FRAGMENT-VIP fan-in: a full layered client stack
-    per client host, one serving stack. *)
+type topology =
+  | Shared of Netproto.World.fanout
+  | Switched of Netproto.World.switched
 
-(** {1 Fan-out (replicated) configurations}
-
-    The failover experiment drives M client hosts into K server
-    replicas over a {!Netproto.World.fanout} topology.  Each client
-    host gets its own stack {e plus} a {!Select_replica} map over all
-    K servers; each server host runs a full serving stack with the
-    standard procedures registered. *)
-
-type fanout_stack = {
+type stack = {
   fos_name : string;
+      (** ["L.RPC-VIP"] or ["M.RPC-<lower>"], suffixed ["-REPLICA"]
+          with [replica] and ["-SWITCHED"] over a switch *)
   fos_call :
     int ->
     ?key:int ->
     command:int ->
     Xkernel.Msg.t ->
     (Xkernel.Msg.t, Rpc_error.t) result;
-      (** [fos_call i] runs one RPC from client host [i] through its
-          replica map (failover included); must be called inside a
-          fiber.  [key] pins the preferred replica under
-          [Select_replica.Hash]. *)
+      (** [fos_call i] runs one RPC from client host [i] (through its
+          replica map, failover included, when there is one); must be
+          called inside a fiber.  [key] pins the preferred replica
+          under [Select_replica.Hash]. *)
   fos_clients : Xkernel.Host.t array;
   fos_servers : Xkernel.Host.t array;
   fos_replicas : Select_replica.t array;
       (** One replica map per client host, index-aligned with
-          [fos_clients] — for health/failover introspection. *)
+          [fos_clients]; [[||]] without [replica]. *)
   fos_selects : Select.t array;
       (** Server-side SELECT instances, index-aligned with
           [fos_servers] — for registering extra procedures ([[||]] for
           the monolithic stack, which has no SELECT layer). *)
   fos_admits : Admit.t array;
       (** Admission-control layers, index-aligned with [fos_servers];
-          [[||]] unless built with [?admit]. *)
+          [[||]] without [admit]. *)
   fos_coord : Shard_map.Coordinator.t option;
-      (** The MAP coordinator (on [fos_clients.(0)]'s host), present
-          when built with [?shard_map].  Every replica map — and, on
-          the layered stack, every server SELECT — has the initial map
-          installed and is subscribed for later generations; each
-          client's wrong-shard refresh hook pulls the coordinator's
-          current map. *)
+      (** The MAP coordinator, present with [shard_map]; each client's
+          wrong-shard refresh hook pulls its current map. *)
+  fos_inc : Inc.t option;  (** The switch's INC, present with [inc]. *)
 }
 
-val lrpc_fanout :
-  ?adaptive:bool ->
-  ?rto_load_floor:bool ->
-  ?n_channels:int ->
-  ?policy:Select_replica.policy ->
-  ?attempt_timeout:float ->
-  ?deadline:float ->
-  ?max_failovers:int ->
-  ?probation:float ->
-  ?probe_limit:int ->
-  ?admit:Admit.config ->
-  ?propagate_deadline:bool ->
-  ?retry_budget:float ->
-  ?hedge:bool ->
-  ?probe_timeout:float ->
-  ?dead_retry_interval:float ->
-  ?drain_deadline:float ->
-  ?shard_map:Shard_map.t ->
-  ?map_delay:float ->
-  ?map_jitter:float ->
-  Netproto.World.fanout ->
-  fanout_stack
-(** REPLICA over SELECT-CHANNEL-FRAGMENT-VIP: a full layered client
-    stack per client host with one lazily-opened connection per
-    server replica.
-
-    Overload-control knobs, all off by default: [admit] slots an
-    {!Admit} layer between CHANNEL and SELECT on every server;
-    [propagate_deadline] / [retry_budget] / [hedge] configure the
-    client-side governance in {!Select_replica}.
-
-    Sharding knobs, also all off by default: [shard_map] installs the
-    map everywhere, enables server-side ownership checks and stands up
-    the MAP coordinator ([fos_coord]); [drain_deadline] /
-    [probe_timeout] / [dead_retry_interval] configure
-    {!Select_replica}; [map_delay] / [map_jitter] shape MAP push
-    delivery. *)
-
-val mrpc_fanout :
-  ?lower:mono_lower ->
-  ?n_channels:int ->
-  ?policy:Select_replica.policy ->
-  ?attempt_timeout:float ->
-  ?deadline:float ->
-  ?max_failovers:int ->
-  ?probation:float ->
-  ?probe_limit:int ->
-  ?probe_timeout:float ->
-  ?dead_retry_interval:float ->
-  ?drain_deadline:float ->
-  ?shard_map:Shard_map.t ->
-  ?map_delay:float ->
-  ?map_jitter:float ->
-  Netproto.World.fanout ->
-  fanout_stack
-(** REPLICA over monolithic Sprite RPC (default lower [L_vip]), one
-    client instance per host fanned out to K server instances.  The
-    monolithic wire cannot carry shard stamps, so with [?shard_map]
-    the map steers client-side routing (and the coordinator still
-    distributes updates) but servers never answer wrong-shard. *)
-
-(** {1 Switched configurations}
-
-    The same stacks over a {!Netproto.World.switched} star: every host
-    on its own access link, all calls through the switch.  Peers are
-    never on the local wire, so VIP always takes the IP-via-gateway
-    path — the remote case of section 3.2 — and the switch sees (and
-    may compute on) every RPC. *)
+val build : config -> topology -> stack
+(** [build config topology] wires [config] onto [topology].  Protocols
+    are created servers first, then ADMIT, then clients, then the MAP
+    coordinator, then INC.
+    @raise Invalid_argument for [admit] on the monolithic stack,
+    [shard_map] without [replica], or [inc] without a switch. *)
 
 val lrpc_switched :
-  ?adaptive:bool ->
-  ?rto_load_floor:bool ->
-  ?n_channels:int ->
-  ?policy:Select_replica.policy ->
-  ?attempt_timeout:float ->
-  ?deadline:float ->
-  ?max_failovers:int ->
-  ?probation:float ->
-  ?probe_limit:int ->
-  ?admit:Admit.config ->
-  ?propagate_deadline:bool ->
-  ?retry_budget:float ->
-  ?hedge:bool ->
-  ?probe_timeout:float ->
-  ?dead_retry_interval:float ->
-  ?drain_deadline:float ->
-  ?shard_map:Shard_map.t ->
-  ?map_delay:float ->
-  ?map_jitter:float ->
-  ?inc_cacheable:int list ->
-  ?inc_ttl:float ->
-  ?inc_capacity:int ->
+  policy:Select_replica.policy ->
+  attempt_timeout:float ->
+  deadline:float ->
+  admit:Admit.config ->
+  propagate_deadline:bool ->
+  inc_cacheable:int list ->
   Netproto.World.switched ->
-  fanout_stack * Inc.t option
-(** {!lrpc_fanout} over the switched star.  [inc_cacheable] installs
-    the {!Inc} in-network computation on the switch, caching replies to
-    the listed SELECT commands ([inc_ttl] / [inc_capacity] bound the
-    cache); omitted, the switch is a plain forwarder and the second
-    component is [None]. *)
+  stack * Inc.t option
+(** {!build} of the layered stack over the switch with REPLICA, ADMIT
+    and INC — the configuration the simulator benchmark (perfbench)
+    drives.  Kept only for that caller. *)
 
 val lrpc_vip_size : Netproto.World.t -> endpoints
 (** SELECT-CHANNEL-VIPsize with FRAGMENT below VIPsize and VIPaddr at

@@ -43,17 +43,6 @@ let create ?max_events ?(n = 2) ?(profile = Machine.xkernel_sun3) ?(seed = 42)
   let wire = Wire.create sim ~seed () in
   create_net sim wire ~net_prefix:0 ~count:n ~profile ~gateway:None ~eth_off:0
 
-type fanin = { fan : t; server : node; clients : node array }
-
-let create_fanin ?max_events ?(clients = 4) ?profile ?seed () =
-  if clients < 1 then invalid_arg "World.create_fanin: clients < 1";
-  let t = create ?max_events ~n:(clients + 1) ?profile ?seed () in
-  {
-    fan = t;
-    server = t.nodes.(0);
-    clients = Array.sub t.nodes 1 clients;
-  }
-
 type fanout = { fo : t; servers : node array; fo_clients : node array }
 
 (* Servers occupy node (and device) indices 0 .. servers-1, so a chaos

@@ -30,22 +30,6 @@ val create :
     wire.  [n] adds more hosts on the same wire.  [max_events] raises
     the simulator's runaway guard for million-call sweeps. *)
 
-type fanin = {
-  fan : t;
-  server : node;  (** node 0 *)
-  clients : node array;  (** nodes 1..n *)
-}
-
-val create_fanin :
-  ?max_events:int ->
-  ?clients:int -> ?profile:Xkernel.Machine.profile -> ?seed:int -> unit ->
-  fanin
-(** [create_fanin ~clients ()] is the load-generation topology: one
-    server plus [clients] (default 4) client hosts, all on one wire —
-    {!create}[ ~n:(clients+1)] with the roles named.  The load
-    subsystem ({!Rpc.Load}) fans M client hosts into the single
-    server. *)
-
 type fanout = {
   fo : t;
   servers : node array;  (** nodes 0..servers-1 *)
@@ -60,11 +44,13 @@ val create_fanout :
   ?seed:int ->
   unit ->
   fanout
-(** [create_fanout ~clients ~servers ()] is the replication topology: K
-    server replicas (default 2) plus M client hosts (default 4), all on
-    one wire.  Servers occupy node — and therefore {!devices} — indices
-    [0..K-1], so a {!Xkernel.Chaos} plan can target replica [k] with
-    [Crash k] directly. *)
+(** [create_fanout ~clients ~servers ()] is K server hosts (default 2)
+    plus M client hosts (default 4), all on one wire —
+    {!create}[ ~n:(K+M)] with the roles named.  Servers occupy node —
+    and therefore {!devices} — indices [0..K-1], so a {!Xkernel.Chaos}
+    plan can target replica [k] with [Crash k] directly.  With
+    [~servers:1] it is the load subsystem's fan-in topology ({!Rpc.Load}):
+    the server at node 0, clients at nodes 1..M. *)
 
 val devices : t -> Xkernel.Netdev.t array
 (** One device per node, in node order — the [devices] array a

@@ -14,8 +14,10 @@ type behaviour =
   | Fail of Rpc.Rpc_error.t
   | Block of float  (* serve only after this much delay *)
 
-let scripted w ?policy ?attempt_timeout ?deadline ?max_failovers ?probation
-    ?probe_limit ?probe_timeout ?dead_retry_interval ~k behave =
+(* REPLICA's stock settings, overridden per test. *)
+let defaults = Select_replica.default
+
+let scripted w ?config ~k behave =
   let host = (World.node w 0).World.host in
   let sim = w.World.sim in
   let hits = Array.make k 0 in
@@ -35,9 +37,7 @@ let scripted w ?policy ?attempt_timeout ?deadline ?max_failovers ?probation
         })
   in
   let t =
-    Select_replica.create ~host ?policy ?attempt_timeout ?deadline
-      ?max_failovers ?probation ?probe_limit ?probe_timeout
-      ?dead_retry_interval ~endpoints ()
+    Select_replica.create ~host ?config ~endpoints ()
   in
   (t, hits)
 
@@ -57,7 +57,8 @@ let round_robin_spreads () =
 let hash_key_affinity () =
   let w = World.create () in
   let t, hits =
-    scripted w ~policy:Select_replica.Hash ~k:4 (fun _ ~command:_ -> Reply)
+    scripted w ~config:{ defaults with policy = Hash } ~k:4
+      (fun _ ~command:_ -> Reply)
   in
   for _ = 1 to 6 do
     ignore (Tutil.ok_exn "call" (call w t ~key:5 ()))
@@ -69,8 +70,9 @@ let failover_marks_suspect () =
   let w = World.create () in
   let down = ref true in
   let t, hits =
-    scripted w ~attempt_timeout:0.05 ~probation:0.1 ~k:3 (fun i ~command:_ ->
-        if i = 0 && !down then Block 5. else Reply)
+    scripted w
+      ~config:{ defaults with attempt_timeout = 0.05; probation = 0.1 }
+      ~k:3 (fun i ~command:_ -> if i = 0 && !down then Block 5. else Reply)
   in
   let seen = ref Select_replica.Healthy in
   Tutil.run_in w (fun () ->
@@ -93,8 +95,15 @@ let failover_marks_suspect () =
 let dead_after_probe_limit () =
   let w = World.create () in
   let t, hits =
-    scripted w ~attempt_timeout:0.05 ~probation:0.02 ~probe_limit:3 ~k:2
-      (fun i ~command:_ ->
+    scripted w
+      ~config:
+        {
+          defaults with
+          attempt_timeout = 0.05;
+          probation = 0.02;
+          probe_limit = 3;
+        }
+      ~k:2 (fun i ~command:_ ->
         if i = 0 then Fail Rpc.Rpc_error.Timeout else Reply)
   in
   ignore (Tutil.ok_exn "first call fails over" (call w t ()));
@@ -118,8 +127,16 @@ let dead_retry_heals_rebooted_replica () =
   let sim = w.World.sim in
   let down = ref true in
   let t, hits =
-    scripted w ~attempt_timeout:0.05 ~probation:0.02 ~probe_limit:2
-      ~dead_retry_interval:0.2 ~k:2 (fun i ~command:_ ->
+    scripted w
+      ~config:
+        {
+          defaults with
+          attempt_timeout = 0.05;
+          probation = 0.02;
+          probe_limit = 2;
+          dead_retry_interval = Some 0.2;
+        }
+      ~k:2 (fun i ~command:_ ->
         if i = 0 && !down then Fail Rpc.Rpc_error.Timeout else Reply)
   in
   Tutil.run_in w (fun () ->
@@ -154,8 +171,9 @@ let deadline_bounds_the_call () =
   let w = World.create () in
   let sim = w.World.sim in
   let t, _ =
-    scripted w ~attempt_timeout:0.1 ~deadline:0.25 ~k:4 (fun _ ~command:_ ->
-        Block 5.)
+    scripted w
+      ~config:{ defaults with attempt_timeout = 0.1; deadline = 0.25 }
+      ~k:4 (fun _ ~command:_ -> Block 5.)
   in
   let elapsed = ref 0. in
   let res = ref (Ok Msg.empty) in
@@ -202,9 +220,19 @@ let lrpc_fanout_crash_recovery () =
         spec = Chaos.Partition { a = [ 0 ]; b = [ 1; 2; 3; 4 ] };
       };
     ];
+  let replica =
+    {
+      Select_replica.default with
+      attempt_timeout = 0.05;
+      deadline = 0.5;
+      probation = 0.05;
+      probe_limit = 10;
+    }
+  in
   let s =
-    Stacks.lrpc_fanout ~attempt_timeout:0.05 ~deadline:0.5 ~probation:0.05
-      ~probe_limit:10 fo
+    Stacks.build
+      { Stacks.default with replica = Some replica }
+      (Stacks.Shared fo)
   in
   let server_handled i =
     match Stats.find (Printf.sprintf "h0.%d/SELECT" i) with

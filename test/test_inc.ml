@@ -160,14 +160,27 @@ let rebalance_under_inc () =
   let sw = World.create_switched ~clients:2 ~servers:2 () in
   let w = sw.World.sw.World.fo in
   let map = Shard_map.create ~seed:7 ~shards:8 ~replicas:2 in
-  let stack, inc_opt =
+  let stack =
     (* The first call over the switched star pays the VIP gateway
        fallback (~0.3 s), longer than the stock 0.25 s attempt timeout. *)
-    Stacks.lrpc_switched ~n_channels:1 ~policy:Rpc.Select_replica.Hash
-      ~attempt_timeout:2.0 ~deadline:8.0 ~shard_map:map
-      ~inc_cacheable:[ cmd_whoami ] sw
+    Stacks.build
+      {
+        Stacks.default with
+        n_channels = 1;
+        replica =
+          Some
+            {
+              Rpc.Select_replica.default with
+              policy = Hash;
+              attempt_timeout = 2.0;
+              deadline = 8.0;
+            };
+        shard_map = Some map;
+        inc = Some [ cmd_whoami ];
+      }
+      (Stacks.Switched sw)
   in
-  let inc = Option.get inc_opt in
+  let inc = Option.get stack.Stacks.fos_inc in
   Array.iteri
     (fun i sel ->
       Select.register sel ~command:cmd_whoami (fun req ->

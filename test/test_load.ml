@@ -6,6 +6,13 @@ module World = Netproto.World
 module Load = Rpc.Load
 module Stacks = Rpc.Stacks
 
+(* The fan-in world: one server (node 0) and [clients] client hosts,
+   with M.RPC-VIP or L.RPC-VIP fanned into the server. *)
+let fanin ~clients = World.create_fanout ~clients ~servers:1 ()
+let on f config = Stacks.build config (Stacks.Shared f)
+let mrpc f = on f { Stacks.default with kind = Stacks.Mono Stacks.L_vip }
+let lrpc f = on f Stacks.default
+
 (* --- Histogram ----------------------------------------------------------- *)
 
 (* Below sub_count (256 at the default 8 bits) every value has its own
@@ -96,8 +103,8 @@ let fit_slope_degenerate () =
 (* --- closed loop over a fan-in world ------------------------------------- *)
 
 let closed_fanin () =
-  let f = World.create_fanin ~clients:8 () in
-  let fan = Stacks.mrpc_fanin f in
+  let f = fanin ~clients:8 in
+  let fan = mrpc f in
   let r = Load.run_closed ~fibers:16 ~calls:10 f fan in
   Tutil.check_int "every call completed" 160 r.Load.completed;
   Tutil.check_int "no failures" 0 r.Load.failed;
@@ -114,15 +121,15 @@ let closed_fanin () =
   Alcotest.(check bool) "positive throughput" true (r.Load.achieved_rps > 0.);
   Alcotest.(check bool) "some wire traffic" true (r.Load.wire_util > 0.);
   (* the run registered its gauges *)
-  match Stats.find ("load/" ^ fan.Stacks.fan_name) with
+  match Stats.find ("load/" ^ fan.Stacks.fos_name) with
   | None -> Alcotest.fail "load stats table not registered"
   | Some t -> Tutil.check_int "completed gauge" 160 (Stats.get t "completed")
 
 (* --- open loop: shed behaviour around the knee --------------------------- *)
 
 let open_below_knee () =
-  let f = World.create_fanin ~clients:4 () in
-  let r = Load.run_open ~rate:200. ~arrivals:80 f (Stacks.mrpc_fanin f) in
+  let f = fanin ~clients:4 in
+  let r = Load.run_open ~rate:200. ~arrivals:80 f (mrpc f) in
   Tutil.check_int "nothing shed below the knee" 0 r.Load.shed;
   Tutil.check_int "all arrivals completed" 80 r.Load.completed;
   Tutil.check_int "no failures" 0 r.Load.failed;
@@ -131,12 +138,12 @@ let open_below_knee () =
     < 0.25 *. r.Load.offered_rps)
 
 let open_past_knee () =
-  let f = World.create_fanin ~clients:4 () in
+  let f = fanin ~clients:4 in
   (* ~1650 calls/s is M.RPC's ceiling here; offer 20x that into a
      4-call window, so most arrivals find it full *)
   let r =
     Load.run_open ~rate:40_000. ~arrivals:120 ~window:4 f
-      (Stacks.mrpc_fanin f)
+      (mrpc f)
   in
   Alcotest.(check bool) "overload sheds" true (r.Load.shed > 0);
   Tutil.check_int "shed + completed = arrivals" 120
@@ -144,10 +151,10 @@ let open_past_knee () =
   Alcotest.(check bool) "window respected" true (r.Load.pending_max <= 4)
 
 let open_uniform_deterministic_arrivals () =
-  let f = World.create_fanin ~clients:2 () in
+  let f = fanin ~clients:2 in
   let r =
     Load.run_open ~arrival:Load.Uniform ~rate:500. ~arrivals:50 f
-      (Stacks.lrpc_fanin f)
+      (lrpc f)
   in
   Tutil.check_int "all arrivals completed" 50 r.Load.completed;
   Tutil.check_int "nothing shed" 0 r.Load.shed;
@@ -170,11 +177,11 @@ let crash_under_load_no_hung_fibers () =
      fiber: every dispatched call ends in a reply, a Timeout or a
      Rebooted, so run_open's accounting balances and the run drains.
      (A hung fiber would leave pending calls unaccounted for.) *)
-  let f = World.create_fanin ~clients:4 () in
-  let w = f.World.fan in
+  let f = fanin ~clients:4 in
+  let w = f.World.fo in
   Chaos.apply ~wire:w.World.wire ~devices:(World.devices w)
     [ { Chaos.from_t = 0.15; until_t = 0.16; spec = Chaos.Crash 0 } ];
-  let r = Load.run_open ~rate:800. ~arrivals:200 f (Stacks.lrpc_fanin f) in
+  let r = Load.run_open ~rate:800. ~arrivals:200 f (lrpc f) in
   Tutil.check_int "every arrival accounted for" 200
     (r.Load.completed + r.Load.failed + r.Load.shed);
   Alcotest.(check bool) "the crash was observed" true (r.Load.failed > 0);
@@ -183,8 +190,8 @@ let crash_under_load_no_hung_fibers () =
 
 let arto_storm ~rto_load_floor =
   Stats.reset_registry ();
-  let f = World.create_fanin ~clients:4 () in
-  let fan = Stacks.lrpc_fanin ~adaptive:true ~rto_load_floor f in
+  let f = fanin ~clients:4 in
+  let fan = on f { Stacks.default with adaptive = true; rto_load_floor } in
   let r = Load.run_open ~rate:1200. ~arrivals:200 f fan in
   let retransmits =
     List.fold_left
@@ -218,11 +225,11 @@ let arto_storm_without_floor () =
 
 let sweep_deterministic () =
   let once () =
-    let f = World.create_fanin ~clients:4 () in
-    let closed = Load.run_closed ~fibers:8 ~calls:10 f (Stacks.lrpc_fanin f) in
-    let f2 = World.create_fanin ~clients:4 () in
+    let f = fanin ~clients:4 in
+    let closed = Load.run_closed ~fibers:8 ~calls:10 f (lrpc f) in
+    let f2 = fanin ~clients:4 in
     let opened =
-      Load.run_open ~rate:400. ~arrivals:60 f2 (Stacks.mrpc_fanin f2)
+      Load.run_open ~rate:400. ~arrivals:60 f2 (mrpc f2)
     in
     Json.to_string (Json.Arr [ Load.to_json closed; Load.to_json opened ])
   in

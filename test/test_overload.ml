@@ -137,8 +137,10 @@ let admit_codel_sheds_persistent_queue () =
 
 type behaviour = Reply | Fail of Rpc.Rpc_error.t | Block of float
 
-let scripted w ?policy ?attempt_timeout ?deadline ?probation ?probe_limit
-    ?retry_budget ?hedge ~k behave =
+(* REPLICA's stock settings, overridden per test. *)
+let defaults = Select_replica.default
+
+let scripted w ?config ~k behave =
   let host = (World.node w 0).World.host in
   let sim = w.World.sim in
   let hits = Array.make k 0 in
@@ -158,8 +160,7 @@ let scripted w ?policy ?attempt_timeout ?deadline ?probation ?probe_limit
         })
   in
   let t =
-    Select_replica.create ~host ?policy ?attempt_timeout ?deadline ?probation
-      ?probe_limit ?retry_budget ?hedge ~endpoints ()
+    Select_replica.create ~host ?config ~endpoints ()
   in
   (t, hits)
 
@@ -173,7 +174,9 @@ let retry_budget_bounds_attempts () =
      Ratio 0.25 is exact in binary floating point, so the bucket
      arithmetic below is deterministic down to the last token. *)
   let t, hits =
-    scripted w ~retry_budget:0.25 ~probation:1000. ~k:3 (fun _ ->
+    scripted w
+      ~config:{ defaults with retry_budget = Some 0.25; probation = 1000. }
+      ~k:3 (fun _ ->
         Fail Rpc.Rpc_error.Timeout)
   in
   let total = ref 0 in
@@ -194,7 +197,7 @@ let retry_budget_bounds_attempts () =
 let busy_pushback_no_failover () =
   let w = World.create () in
   let t, hits =
-    scripted w ~policy:Select_replica.Hash ~k:2 (fun i ->
+    scripted w ~config:{ defaults with policy = Hash } ~k:2 (fun i ->
         if i = 0 then Fail Rpc.Rpc_error.Busy else Reply)
   in
   let res =
@@ -212,8 +215,15 @@ let busy_pushback_no_failover () =
 let all_dead_fails_fast () =
   let w = World.create () in
   let t, _ =
-    scripted w ~attempt_timeout:0.05 ~probation:0.01 ~probe_limit:1 ~k:2
-      (fun _ -> Fail Rpc.Rpc_error.Timeout)
+    scripted w
+      ~config:
+        {
+          defaults with
+          attempt_timeout = 0.05;
+          probation = 0.01;
+          probe_limit = 1;
+        }
+      ~k:2 (fun _ -> Fail Rpc.Rpc_error.Timeout)
   in
   let elapsed = ref 1. and res = ref (Ok Msg.empty) in
   Tutil.run_in w (fun () ->
@@ -237,7 +247,8 @@ let hedge_races_the_slow_replica () =
   let w = World.create () in
   let slow = ref false in
   let t, hits =
-    scripted w ~policy:Select_replica.Hash ~hedge:true ~k:2 (fun i ->
+    scripted w ~config:{ defaults with policy = Hash; hedge = true } ~k:2
+      (fun i ->
         if i = 1 then Block 0.001
         else if !slow then Block 0.2
         else Block 0.002)

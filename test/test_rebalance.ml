@@ -9,6 +9,7 @@ module Shard_map = Rpc.Shard_map
 module Select = Rpc.Select
 module Select_replica = Rpc.Select_replica
 module Rebalance = Rpc.Rebalance
+module Load = Rpc.Load
 module S = Rpc.Wire_fmt.Select
 
 (* --- the map itself ------------------------------------------------------ *)
@@ -136,7 +137,15 @@ let wrong_shard_refresh_retry () =
   let fo = World.create_fanout ~clients:1 ~servers:3 () in
   let w = fo.World.fo in
   let map = Shard_map.create ~seed:7 ~shards:6 ~replicas:3 in
-  let s = Stacks.lrpc_fanout ~policy:Select_replica.Hash ~shard_map:map fo in
+  let s =
+    Stacks.build
+      {
+        Stacks.default with
+        replica = Some { Select_replica.default with policy = Hash };
+        shard_map = Some map;
+      }
+      (Stacks.Shared fo)
+  in
   let r = s.Stacks.fos_replicas.(0) in
   (* Move shard 0 (key 0) and teach the servers the new generation out
      of band; the client deliberately stays on v1 with a refresh hook
@@ -191,9 +200,16 @@ let handoff_forces_the_straggler () =
         })
   in
   let t =
-    Select_replica.create ~host ~policy:Select_replica.Hash
-      ~attempt_timeout:1.0 ~deadline:3.0 ~drain_deadline:0.01 ~shard_map:map
-      ~endpoints ()
+    Select_replica.create ~host
+      ~config:
+        {
+          Select_replica.default with
+          policy = Hash;
+          attempt_timeout = 1.0;
+          deadline = 3.0;
+          drain_deadline = Some 0.01;
+        }
+      ~shard_map:map ~endpoints ()
   in
   let m2 = Shard_map.move map ~shard ~to_:new_owner in
   Select_replica.set_refresh t (fun () ->
@@ -220,21 +236,36 @@ let handoff_forces_the_straggler () =
 
 (* --- chaos crash over the monolithic fan-out ------------------------------ *)
 
-(* Open loop over mrpc_fanout (whose wire cannot carry stamps) with a
-   mid-run crash and the crash rebalancer: conservation must hold
-   exactly — every arrival completes, fails or is shed, none lost, and
-   the run drains (no hung fibers). *)
+(* Open loop over the monolithic fan-out (whose wire cannot carry
+   stamps) with a mid-run crash and the crash rebalancer: conservation
+   must hold exactly — every arrival completes, fails or is shed, none
+   lost, and the run drains (no hung fibers). *)
 let mrpc_chaos_run () =
   Stats.reset_registry ();
   let arrivals = 250 and rate = 500. and window = 16 in
   let fo = World.create_fanout ~clients:2 ~servers:3 ~seed:11 () in
   let w = fo.World.fo in
-  let sim = w.World.sim in
   let map = Shard_map.create ~seed:11 ~shards:8 ~replicas:3 in
+  let replica =
+    {
+      Select_replica.default with
+      policy = Hash;
+      attempt_timeout = 0.04;
+      deadline = 0.3;
+      probation = 0.02;
+      probe_limit = 2;
+      probe_timeout = Some 0.03;
+    }
+  in
   let s =
-    Stacks.mrpc_fanout ~policy:Select_replica.Hash ~shard_map:map
-      ~attempt_timeout:0.04 ~deadline:0.3 ~probation:0.02 ~probe_limit:2
-      ~probe_timeout:0.03 fo
+    Stacks.build
+      {
+        Stacks.default with
+        kind = Stacks.Mono Stacks.L_vip;
+        replica = Some replica;
+        shard_map = Some map;
+      }
+      (Stacks.Shared fo)
   in
   Chaos.apply ~wire:w.World.wire ~devices:(World.devices w)
     [
@@ -254,32 +285,22 @@ let mrpc_chaos_run () =
       ~interval:0.025 ~on_skew:false ()
   in
   Rebalance.start rb ~until:0.8;
-  let completed = ref 0 and failed = ref 0 and shed = ref 0 in
-  let pending = ref 0 in
-  Tutil.run_in w (fun () ->
-      for k = 0 to arrivals - 1 do
-        if !pending >= window then incr shed
-        else begin
-          incr pending;
-          Sim.spawn sim (fun () ->
-              (match
-                 s.Stacks.fos_call (k mod 2) ~key:k ~command:Stacks.cmd_null
-                   Msg.empty
-               with
-              | Ok _ -> incr completed
-              | Error _ -> incr failed);
-              decr pending)
-        end;
-        if k < arrivals - 1 then Sim.delay sim (1. /. rate)
-      done);
-  (* run_in drained the world: no hung fibers. *)
-  let lost = arrivals - !completed - !failed - !shed in
+  let o =
+    Load.open_loop ~clients:2
+      ~warm:(fun _ -> ())
+      ~arrival:Load.Uniform ~rate ~arrivals ~window
+      ~call:(fun ~client k ->
+        s.Stacks.fos_call client ~key:k ~command:Stacks.cmd_null Msg.empty)
+      w
+  in
+  (* open_loop drained the world: a hung fiber shows up as a lost call. *)
+  let lost = arrivals - o.Load.o_completed - o.o_failed - o.o_shed in
   Json.to_string
     (Json.Obj
        [
-         ("completed", Json.Int !completed);
-         ("failed", Json.Int !failed);
-         ("shed", Json.Int !shed);
+         ("completed", Json.Int o.o_completed);
+         ("failed", Json.Int o.o_failed);
+         ("shed", Json.Int o.o_shed);
          ("lost", Json.Int lost);
          ("moved", Json.Int (Rebalance.moves rb));
          ( "map_version",
