@@ -158,11 +158,15 @@ let harness ~calls ~out ~baseline () =
   in
   let sim = f.World.fo.World.sim in
   let ev0 = Sim.processed sim in
+  let mw0 = Gc.minor_words () in
   let w0 = Unix.gettimeofday () in
   let r = Load.run_closed ~fibers ~calls:per_fiber f fan in
   let wall = Unix.gettimeofday () -. w0 in
   let events = Sim.processed sim - ev0 in
   let completed = r.Load.completed in
+  let words_per_call =
+    (Gc.minor_words () -. mw0) /. float_of_int completed
+  in
   let calls_per_sec = float_of_int completed /. wall in
   let events_per_sec = float_of_int events /. wall in
   pr "%-28s %12d\n" "calls completed" completed;
@@ -171,6 +175,7 @@ let harness ~calls ~out ~baseline () =
   pr "%-28s %12.2f s\n" "simulated time" r.Load.elapsed_s;
   pr "%-28s %12.0f\n" "calls/sec (wall)" calls_per_sec;
   pr "%-28s %12.0f\n" "events/sec (wall)" events_per_sec;
+  pr "%-28s %12.0f\n" "minor words/call" words_per_call;
   let fields =
     [
       ("bench", Json.Str "harness");
@@ -187,6 +192,7 @@ let harness ~calls ~out ~baseline () =
       ("wall_s", Json.Float wall);
       ("calls_per_sec", Json.Float calls_per_sec);
       ("events_per_sec", Json.Float events_per_sec);
+      ("minor_words_per_call", Json.Float words_per_call);
     ]
   in
   (* [--harness-baseline FILE] embeds a pre-optimization run (same

@@ -76,6 +76,9 @@ type t = {
   c_karn_skip : Stats.counter;
   c_ack_tx : Stats.counter;
   c_ack_rx : Stats.counter;
+  c_retransmit : Stats.counter;
+  c_srtt_us : Stats.counter; (* gauges *)
+  c_rto_us : Stats.counter;
 }
 
 let proto t = t.p
@@ -186,8 +189,8 @@ let observe_rtt t s ~load r =
   s.backoff <- 0;
   Stats.tick t.c_rtt_sample;
   (* Gauges (microseconds): the most recent sample on any channel. *)
-  Stats.set t.stats "srtt-us" (int_of_float (s.srtt *. 1e6));
-  Stats.set t.stats "rto-us" (int_of_float (request_rto t s s.last_len *. 1e6))
+  Stats.store t.c_srtt_us (int_of_float (s.srtt *. 1e6));
+  Stats.store t.c_rto_us (int_of_float (request_rto t s s.last_len *. 1e6))
 
 let cancel_timer t o =
   match o.timer with
@@ -269,7 +272,7 @@ let rec arm_timer t s o timeout =
                  complete t s (Error Rpc_error.Timeout)
                else begin
                  o.tries_left <- o.tries_left - 1;
-                 Stats.incr t.stats "retransmit";
+                 Stats.tick t.c_retransmit;
                  (* A retransmission asks the server to acknowledge
                     explicitly if it is still working; the deadline
                     extension carries the budget *remaining now*, not
@@ -669,6 +672,9 @@ let create ~host ~lower ?(proto_num = 93) ?(n_channels = 8)
       c_karn_skip = Stats.counter (Proto.stats p) "karn-skip";
       c_ack_tx = Stats.counter (Proto.stats p) "ack-tx";
       c_ack_rx = Stats.counter (Proto.stats p) "ack-rx";
+      c_retransmit = Stats.counter (Proto.stats p) "retransmit";
+      c_srtt_us = Stats.counter (Proto.stats p) "srtt-us";
+      c_rto_us = Stats.counter (Proto.stats p) "rto-us";
     }
   in
   Proto.set_ops p

@@ -50,6 +50,8 @@ type t = {
   c_rx_msg : Stats.counter;
   c_rx_frag : Stats.counter;
   c_recent_pruned : Stats.counter;
+  c_cache_drop : Stats.counter;
+  c_rx_dup_complete : Stats.counter;
 }
 
 let proto t = t.p
@@ -114,7 +116,7 @@ let push_message t s msg =
       (Event.schedule t.host t.cache_ttl (fun () ->
            if Hashtbl.mem s.cache seq then begin
              Hashtbl.remove s.cache seq;
-             Stats.incr t.stats "cache-drop"
+             Stats.tick t.c_cache_drop
            end));
     Array.iter (send_fragment t s) entry.frags
   end
@@ -196,7 +198,7 @@ let deliver_complete t s msg =
 
 let handle_data t s (hdr : F.t) piece =
   let seq = hdr.F.sequence_num in
-  if Hashtbl.mem s.recent seq then Stats.incr t.stats "rx-dup-complete"
+  if Hashtbl.mem s.recent seq then Stats.tick t.c_rx_dup_complete
   else if hdr.F.num_frags = 1 then begin
     note_recent t s seq;
     deliver_complete t s piece
@@ -385,6 +387,8 @@ let create ~host ~lower ?(proto_num = 92) ?(frag_size = 1024)
       c_rx_msg = Stats.counter (Proto.stats p) "rx-msg";
       c_rx_frag = Stats.counter (Proto.stats p) "rx-frag";
       c_recent_pruned = Stats.counter (Proto.stats p) "recent-pruned";
+      c_cache_drop = Stats.counter (Proto.stats p) "cache-drop";
+      c_rx_dup_complete = Stats.counter (Proto.stats p) "rx-dup-complete";
     }
   in
   Proto.set_ops p

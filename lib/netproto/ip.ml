@@ -45,6 +45,13 @@ type t = {
   mutable forward_hook :
     (src:Addr.Ip.t -> dst:Addr.Ip.t -> proto_num:int -> Msg.t -> bool) option;
   stats : Stats.t;
+  (* Per-packet counters, resolved once. *)
+  c_tx : Stats.counter;
+  c_tx_frag : Stats.counter;
+  c_rx : Stats.counter;
+  c_rx_frag : Stats.counter;
+  c_forwarded : Stats.counter;
+  c_hook_consumed : Stats.counter;
 }
 
 let proto t = t.p
@@ -188,7 +195,7 @@ let send_datagram t ~src ~dst ~proto_num ~ttl msg =
             in
             Machine.charge t.host.Host.mach
               [ Machine.Header header_bytes; Machine.Checksum header_bytes ];
-            Stats.incr t.stats (if mf || off > 0 then "tx-frag" else "tx");
+            Stats.tick (if mf || off > 0 then t.c_tx_frag else t.c_tx);
             Proto.push eth_sess (Msg.push piece hdr);
             if mf then emit (off + this)
           in
@@ -347,9 +354,9 @@ let input t msg =
                          hook ~src:h.src ~dst:h.dst ~proto_num:h.proto_num
                            payload
                      | None -> false)
-                then Stats.incr t.stats "hook-consumed"
+                then Stats.tick t.c_hook_consumed
                 else begin
-                Stats.incr t.stats "forwarded";
+                Stats.tick t.c_forwarded;
                 (* Forward the fragment as-is (same ident/offset/MF) so
                    the final destination can still reassemble. *)
                 Machine.charge_one t.host.Host.mach (Machine.Route_lookup);
@@ -371,12 +378,12 @@ let input t msg =
               else Stats.incr t.stats "rx-not-mine"
             end
             else if (not h.mf) && h.frag_off = 0 then begin
-              Stats.incr t.stats "rx";
+              Stats.tick t.c_rx;
               deliver_up t ~src:h.src ~dst:h.dst ~proto_num:h.proto_num
                 ~ttl:h.ttl payload
             end
             else begin
-              Stats.incr t.stats "rx-frag";
+              Stats.tick t.c_rx_frag;
               let key = (Addr.Ip.to_int h.src, h.ident) in
               let entry =
                 match Hashtbl.find_opt t.reassembly key with
@@ -401,7 +408,7 @@ let input t msg =
               with
               | None -> ()
               | Some whole ->
-                  Stats.incr t.stats "rx";
+                  Stats.tick t.c_rx;
                   deliver_up t ~src:h.src ~dst:h.dst ~proto_num:h.proto_num
                     ~ttl:h.ttl whole
             end))
@@ -425,6 +432,12 @@ let create ~host ~ifaces ?gateway ?(forward = false) ?(ttl = 32) () =
       error_hook = None;
       forward_hook = None;
       stats = Proto.stats p;
+      c_tx = Stats.counter (Proto.stats p) "tx";
+      c_tx_frag = Stats.counter (Proto.stats p) "tx-frag";
+      c_rx = Stats.counter (Proto.stats p) "rx";
+      c_rx_frag = Stats.counter (Proto.stats p) "rx-frag";
+      c_forwarded = Stats.counter (Proto.stats p) "forwarded";
+      c_hook_consumed = Stats.counter (Proto.stats p) "hook-consumed";
     }
   in
   let ops =

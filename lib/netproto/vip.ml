@@ -10,6 +10,8 @@ type t = {
   sessions : (int * int, Proto.session) Hashtbl.t; (* (peer ip, proto) *)
   enabled : (int, Proto.t) Hashtbl.t;
   stats : Stats.t;
+  c_tx_eth : Stats.counter;
+  c_tx_ip : Stats.counter;
 }
 
 let proto t = t.p
@@ -84,10 +86,10 @@ let make_session t ~upper ~peer_ip ~proto_num =
        by Proto.push). *)
     match (eth_sess, ip_sess) with
     | Some es, _ when Msg.length msg <= payload ->
-        Stats.incr t.stats "tx-eth";
+        Stats.tick t.c_tx_eth;
         Proto.push es msg
     | _, Some is ->
-        Stats.incr t.stats "tx-ip";
+        Stats.tick t.c_tx_ip;
         Proto.push is msg
     | Some es, None ->
         (* The upper protocol exceeded its advertised maximum; all we
@@ -168,6 +170,8 @@ let create ~host ~eth ~ip ~arp ?adv () =
       sessions = Hashtbl.create 16;
       enabled = Hashtbl.create 8;
       stats = Proto.stats p;
+      c_tx_eth = Stats.counter (Proto.stats p) "tx-eth";
+      c_tx_ip = Stats.counter (Proto.stats p) "tx-ip";
     }
   in
   let ops =

@@ -180,16 +180,24 @@ let op_cost p = function
   | Os_per_message -> p.os_per_message
   | Busy s -> s
 
+(* All-float, so both accumulators are stored unboxed and a charge
+   allocates no float boxes. *)
+type acct = { mutable busy : float; mutable wait : float }
+
 type t = {
   m_sim : Sim.t;
   cpu : Sim.Semaphore.sem;
   mutable prof : profile;
-  mutable busy : float;
-  mutable wait : float;
+  acct : acct;
 }
 
 let create m_sim prof =
-  { m_sim; cpu = Sim.Semaphore.create m_sim 1; prof; busy = 0.; wait = 0. }
+  {
+    m_sim;
+    cpu = Sim.Semaphore.create m_sim 1;
+    prof;
+    acct = { busy = 0.; wait = 0. };
+  }
 
 let sim m = m.m_sim
 let profile m = m.prof
@@ -197,32 +205,40 @@ let set_profile m p = m.prof <- p
 
 let charge_cost m total =
   if total > 0. then begin
-    let t0 = Sim.now m.m_sim in
-    Sim.Semaphore.p m.cpu;
     (* Run-queue sojourn: time this charge spent waiting for the CPU,
        as opposed to using it — the server-side queueing-delay signal
-       overload experiments account against deadlines. *)
-    m.wait <- m.wait +. (Sim.now m.m_sim -. t0);
+       overload experiments account against deadlines.  A free CPU is
+       taken without blocking, so only a queued charge reads the clock
+       (a [Sim.now] call that is not inlined returns a fresh float
+       box). *)
+    if Sim.Semaphore.count m.cpu > 0 then Sim.Semaphore.p m.cpu
+    else begin
+      let t0 = Sim.now m.m_sim in
+      Sim.Semaphore.p m.cpu;
+      m.acct.wait <- m.acct.wait +. (Sim.now m.m_sim -. t0)
+    end;
     Sim.delay m.m_sim total;
-    m.busy <- m.busy +. total;
+    m.acct.busy <- m.acct.busy +. total;
     Sim.Semaphore.v m.cpu
   end
 
-let charge m ops =
-  charge_cost m
-    (List.fold_left (fun acc op -> acc +. op_cost m.prof op) 0. ops)
+let rec total_cost p acc = function
+  | [] -> acc
+  | op :: ops -> total_cost p (acc +. op_cost p op) ops
+
+let charge m ops = charge_cost m (total_cost m.prof 0. ops)
 
 (* Single-op form for per-event hot paths (layer crossings, timer
-   bookkeeping): no list or fold closure per call. *)
+   bookkeeping): no list per call. *)
 let charge_one m op = charge_cost m (op_cost m.prof op)
 
-let cpu_seconds m = m.busy
+let cpu_seconds m = m.acct.busy
 
 let reset_cpu_seconds m =
-  m.busy <- 0.;
-  m.wait <- 0.
+  m.acct.busy <- 0.;
+  m.acct.wait <- 0.
 
-let cpu_wait_seconds m = m.wait
+let cpu_wait_seconds m = m.acct.wait
 
 let queue_depth m =
   Sim.Semaphore.waiters m.cpu + (1 - Sim.Semaphore.count m.cpu)

@@ -73,8 +73,8 @@ let transmit dev frame =
   Trace.packet
     (Machine.sim dev.nd_host.Host.mach)
     ~host:dev.nd_host.Host.name ~proto:"dev" ~dir:`Send frame;
-  Machine.charge dev.nd_host.Host.mach
-    [ Machine.Device_send (Msg.length frame) ];
+  Machine.charge_one dev.nd_host.Host.mach
+    (Machine.Device_send (Msg.length frame));
   Queue.add frame dev.txq;
   Sim.Semaphore.v dev.txq_items
 

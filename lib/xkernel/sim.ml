@@ -10,11 +10,19 @@ exception Stalled of string
      future.  [times] mirrors the key's time component in an unboxed
      float array so sift comparisons never chase a boxed float.
    - [imm]: a plain FIFO for events scheduled at the current instant
-     (resume trampolines, yields, spawns — roughly half of all
+     (fiber resumptions, yields, spawns — roughly half of all
      traffic).  [now] never decreases and [seq] only grows, so this
      queue is (time, seq)-sorted by construction and costs O(1) where
      the heap would pay its worst case (a new minimum sifts to the
      root and is popped right back).
+
+   A timed wait ([delay], [yield]) is one event that fires twice.  It
+   is queued at its wake time; when it fires it draws a fresh [seq]
+   and re-enters [imm] — the place a separate resume event scheduled at
+   the wake instant would take — and its second firing resumes the
+   fiber.  Both firings count as events, so [processed] and the
+   [max_events] guard see a timed wait as two events, while the wait
+   allocates one event record and one closure.
 
    Cancellation is lazy: [cancel] marks the event and the run loop
    discards corpses as they surface; once heap corpses pass a
@@ -29,15 +37,26 @@ exception Stalled of string
    the clock cannot pass a queued immediate).  Dropping the float field
    keeps the record box-free. *)
 type event = {
-  seq : int;
+  mutable seq : int; (* redrawn when a [Wake] re-enters [imm] *)
   mutable cancelled : bool;
   mutable fired : bool; (* left the queues (ran, skipped, or purged) *)
+  mutable kind : kind;
   thunk : unit -> unit;
   owner : t;
 }
 
+(* What firing an event does with its thunk: call it, run it as a new
+   fiber ([after] and [spawn]), or — the first half of a timed wait —
+   re-enter the immediate ring to resume the waiting fiber. *)
+and kind = Call | Fiber | Wake
+
+(* All-float, so the fields are stored unboxed: advancing the clock on
+   every heap pop allocates nothing.  [wake] carries a timed wait's
+   wake time from [delay] to the effect handler. *)
+and clock = { mutable now : float; mutable wake : float }
+
 and t = {
-  mutable now : float;
+  clock : clock;
   mutable heap : event array;
   mutable times : float array; (* times.(i) = heap.(i)'s fire time, unboxed *)
   mutable heap_size : int;
@@ -52,31 +71,25 @@ and t = {
   max_events : int;
   sim_rng : Random.State.t;
   dummy : event; (* fills empty queue slots, so popped thunks get freed *)
+  delay_eff : unit Effect.t; (* [Delay self], allocated once *)
+  mutable handler : unit Effect.Deep.effect_handler; (* one per sim *)
 }
 
-let create ?(max_events = 10_000_000) ?(seed = 42) () =
-  let rec dummy =
-    { seq = -1; cancelled = true; fired = true; thunk = ignore; owner = t }
-  and t =
-    {
-      now = 0.;
-      heap = [||];
-      times = [||];
-      heap_size = 0;
-      imm = [||];
-      imm_head = 0;
-      imm_tail = 0;
-      live = 0;
-      next_seq = 0;
-      processed = 0;
-      max_events;
-      sim_rng = Random.State.make [| seed |];
-      dummy;
-    }
-  in
-  t
+(* A fiber suspends by handing its resumption to [register]; whoever
+   holds the resumption calls it exactly once to schedule the fiber's
+   continuation as an immediate event.  The continuation's position in
+   the same-instant FIFO is fixed when [resume] runs, not when the
+   fiber suspended, which is what makes runs deterministic.
 
-let now t = t.now
+   [Delay src] is the dominant suspension — a timed wait until
+   [src.clock.wake].  Each sim preallocates its own [Delay self], so
+   performing it allocates nothing; the [src] field lets the handler
+   read the right wake time when a fiber delays on a simulator other
+   than the one running it. *)
+type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
+type _ Effect.t += Delay : t -> unit Effect.t
+
+let now t = t.clock.now
 let pending t = t.live
 let processed t = t.processed
 let rng t = t.sim_rng
@@ -195,13 +208,13 @@ let imm_add t ev =
   t.imm.(t.imm_tail land (Array.length t.imm - 1)) <- ev;
   t.imm_tail <- t.imm_tail + 1
 
-let schedule_at t time thunk =
+let schedule_at t time kind thunk =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let ev = { seq; cancelled = false; fired = false; thunk; owner = t } in
+  let ev = { seq; cancelled = false; fired = false; kind; thunk; owner = t } in
   (* Scheduling in the past never happens (all entry points add a
      non-negative delay to [now]), so [time = now] is the instant case. *)
-  if time = t.now then imm_add t ev else heap_push t time ev;
+  if time = t.clock.now then imm_add t ev else heap_push t time ev;
   t.live <- t.live + 1;
   ev
 
@@ -215,42 +228,64 @@ let cancel ev =
     true
   end
 
-(* A fiber suspends by handing its resumption to [register]; whoever
-   holds the resumption calls it exactly once to schedule the fiber's
-   continuation as an immediate event.  The trampoline keeps resumption
-   FIFO-ordered with everything else scheduled at the same instant (the
-   continuation's position is fixed when [resume] runs, not when the
-   fiber suspended), which is what makes runs deterministic.
+(* Queue a timed wait's one event: a [Wake] at [t.clock.wake] whose
+   second firing (see [run]) continues the fiber. *)
+let wait t k =
+  ignore
+    (schedule_at t t.clock.wake Wake (fun () -> Effect.Deep.continue k ()))
 
-   [Delay] is the pre-fused form of the dominant suspension — a timed
-   wait.  The handler builds the same two-event trampoline [suspend]
-   would (wake event, then resume at the wake instant), just without
-   the [register]/[resume] closure pair per call. *)
-type _ Effect.t += Suspend : ((unit -> unit) -> unit) -> unit Effect.t
-type _ Effect.t += Delay : float -> unit Effect.t
-
-let run_fiber t f =
+let handler t =
   let open Effect.Deep in
-  let handler =
+  let delay_response = Some (fun k -> wait t k) in
+  {
+    effc =
+      (fun (type a) (eff : a Effect.t) ->
+        match eff with
+        | Delay src ->
+            if src != t then t.clock.wake <- src.clock.wake;
+            (delay_response : ((a, unit) continuation -> unit) option)
+        | Suspend register ->
+            Some
+              (fun (k : (a, unit) continuation) ->
+                register (fun () ->
+                    ignore
+                      (schedule_at t t.clock.now Call (fun () -> continue k ()))))
+        | _ -> None);
+  }
+
+let create ?(max_events = 10_000_000) ?(seed = 42) () =
+  let rec dummy =
     {
-      effc =
-        (fun (type a) (eff : a Effect.t) ->
-          match eff with
-          | Suspend register ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  register (fun () ->
-                      ignore (schedule_at t t.now (fun () -> continue k ()))))
-          | Delay time ->
-              Some
-                (fun (k : (a, unit) continuation) ->
-                  ignore
-                    (schedule_at t time (fun () ->
-                         ignore (schedule_at t t.now (fun () -> continue k ())))))
-          | _ -> None);
+      seq = -1;
+      cancelled = true;
+      fired = true;
+      kind = Call;
+      thunk = ignore;
+      owner = t;
+    }
+  and t =
+    {
+      clock = { now = 0.; wake = 0. };
+      heap = [||];
+      times = [||];
+      heap_size = 0;
+      imm = [||];
+      imm_head = 0;
+      imm_tail = 0;
+      live = 0;
+      next_seq = 0;
+      processed = 0;
+      max_events;
+      sim_rng = Random.State.make [| seed |];
+      dummy;
+      delay_eff = Delay t;
+      handler = { Effect.Deep.effc = (fun _ -> None) };
     }
   in
-  try_with f () handler
+  t.handler <- handler t;
+  t
+
+let run_fiber t f = Effect.Deep.try_with f () t.handler
 
 let suspend register =
   try Effect.perform (Suspend register)
@@ -265,21 +300,26 @@ let spawn t ?name f =
         (Printf.sprintf "fiber %s: blocking operation escaped its fiber"
            (Option.value name ~default:"<anon>"))
   in
-  ignore (schedule_at t t.now run)
+  ignore (schedule_at t t.clock.now Call run)
 
-let perform_delay time =
-  try Effect.perform (Delay time)
+let perform_delay t =
+  try Effect.perform t.delay_eff
   with Effect.Unhandled (Delay _) -> raise Not_in_fiber
 
 let delay t d =
   if d < 0. then invalid_arg "Sim.delay: negative delay";
-  if d = 0. then () else perform_delay (t.now +. d)
+  if d > 0. then begin
+    t.clock.wake <- t.clock.now +. d;
+    perform_delay t
+  end
 
-let yield t = perform_delay t.now
+let yield t =
+  t.clock.wake <- t.clock.now;
+  perform_delay t
 
 let after t d f =
   if d < 0. then invalid_arg "Sim.after: negative delay";
-  schedule_at t (t.now +. d) (fun () -> run_fiber t f)
+  schedule_at t (t.clock.now +. d) Fiber f
 
 let run ?until t =
   let execute ev =
@@ -289,7 +329,17 @@ let run ?until t =
     if t.processed > t.max_events then
       raise
         (Stalled (Printf.sprintf "more than %d events processed" t.max_events));
-    ev.thunk ()
+    match ev.kind with
+    | Call -> ev.thunk ()
+    | Fiber -> run_fiber t ev.thunk
+    | Wake ->
+        (* First half of a timed wait: back into [imm] as the resume. *)
+        ev.kind <- Call;
+        ev.fired <- false;
+        ev.seq <- t.next_seq;
+        t.next_seq <- t.next_seq + 1;
+        imm_add t ev;
+        t.live <- t.live + 1
   in
   let stop_at time = match until with Some u -> time > u | None -> false in
   let imm_pop t =
@@ -318,25 +368,25 @@ let run ?until t =
            with a smaller seq (the clock never passes a queued
            immediate). *)
         t.heap_size > 0
-        && t.times.(0) = t.now
+        && t.times.(0) = t.clock.now
         && t.heap.(0).seq < qe.seq
       then
-        if stop_at t.times.(0) then t.now <- Option.get until
+        if stop_at t.times.(0) then t.clock.now <- Option.get until
         else begin
-          t.now <- t.times.(0);
+          t.clock.now <- t.times.(0);
           execute (heap_pop t);
           loop ()
         end
-      else if stop_at t.now then t.now <- Option.get until
+      else if stop_at t.clock.now then t.clock.now <- Option.get until
       else begin
         execute (imm_pop t);
         loop ()
       end
     end
     else if t.heap_size > 0 then
-      if stop_at t.times.(0) then t.now <- Option.get until
+      if stop_at t.times.(0) then t.clock.now <- Option.get until
       else begin
-        t.now <- t.times.(0);
+        t.clock.now <- t.times.(0);
         execute (heap_pop t);
         loop ()
       end

@@ -41,11 +41,21 @@ val spawn : t -> ?name:string -> (unit -> unit) -> unit
     of {!run}. *)
 
 val delay : t -> float -> unit
-(** [delay sim d] suspends the calling fiber for [d] virtual seconds. *)
+(** [delay sim d] suspends the calling fiber for [d] virtual seconds
+    ([d = 0.] returns at once; negative [d] raises [Invalid_argument]).
+
+    The wait is one queued event that fires twice: at the wake time it
+    re-enters the current instant's FIFO behind everything already
+    queued there, and its second firing resumes the fiber.  It counts
+    as two events in {!processed} and against [max_events].  Called
+    with a simulator other than the one running the fiber, the wake
+    time is [sim]'s clock plus [d], and the running simulator serves
+    the wait. *)
 
 val yield : t -> unit
 (** [yield sim] reschedules the calling fiber at the current time,
-    letting other ready fibers run first. *)
+    letting other ready fibers run first: a {!delay} whose wake time
+    is now. *)
 
 type event
 (** A cancellable scheduled event — the x-kernel event library's

@@ -39,6 +39,9 @@ val tick : counter -> unit
 val bump : counter -> int -> unit
 (** Increment by [n]. *)
 
+val store : counter -> int -> unit
+(** Overwrite the value: the handle form of {!set}, for gauges. *)
+
 val value : counter -> int
 
 (** {2 String-keyed API} *)

@@ -13,17 +13,21 @@ let set_level level =
 
 let stamp sim = Sim.now sim *. 1e3
 
+(* Checked before building the [Log.debug] closure or formatting
+   anything: trace points sit on per-packet paths. *)
+let debug_on () =
+  match Logs.Src.level src with Some Logs.Debug -> true | _ -> false
+
 let packet sim ~host ~proto ~dir msg =
-  let arrow = match dir with `Send -> "->" | `Recv -> "<-" in
-  Log.debug (fun m ->
-      m "[%8.3fms] %s %s %s %a" (stamp sim) host proto arrow Msg.pp msg)
+  if debug_on () then begin
+    let arrow = match dir with `Send -> "->" | `Recv -> "<-" in
+    Log.debug (fun m ->
+        m "[%8.3fms] %s %s %s %a" (stamp sim) host proto arrow Msg.pp msg)
+  end
 
 let debugf sim ~host fmt =
-  Format.kasprintf
-    (fun s -> Log.debug (fun m -> m "[%8.3fms] %s %s" (stamp sim) host s))
-    fmt
-
-let infof sim ~host fmt =
-  Format.kasprintf
-    (fun s -> Log.info (fun m -> m "[%8.3fms] %s %s" (stamp sim) host s))
-    fmt
+  if debug_on () then
+    Format.kasprintf
+      (fun s -> Log.debug (fun m -> m "[%8.3fms] %s %s" (stamp sim) host s))
+      fmt
+  else Format.ikfprintf ignore Format.err_formatter fmt

@@ -2,7 +2,9 @@
 
     Thin wrapper over [logs] with one source per subsystem and helpers
     that include virtual timestamps.  Disabled by default; tests and the
-    CLI enable it with {!set_level}. *)
+    CLI enable it with {!set_level}.  Each trace point checks the
+    source's level first, so with tracing off {!packet} allocates
+    nothing and {!debugf} formats nothing. *)
 
 val src : Logs.src
 (** The ["xkernel"] log source. *)
@@ -17,4 +19,5 @@ val packet :
     level with the current virtual time. *)
 
 val debugf : Sim.t -> host:string -> ('a, Format.formatter, unit) format -> 'a
-val infof : Sim.t -> host:string -> ('a, Format.formatter, unit) format -> 'a
+(** [debugf sim ~host fmt ...] logs a formatted line at debug level with
+    the current virtual time. *)

@@ -11,34 +11,34 @@ type stats = {
   bytes : int;
 }
 
-let zero_stats =
-  {
-    frames = 0;
-    delivered = 0;
-    dropped = 0;
-    duplicated = 0;
-    corrupted = 0;
-    delayed = 0;
-    partitioned = 0;
-    bytes = 0;
-  }
-
 type attachment = { tap_id : int; recv : Msg.t -> unit }
 
-(* Mirror handles into a registered per-wire table, resolved once at
-   create time.  Only labelled wires pay for (or appear in) the
-   registry: a multi-wire world would otherwise collide every wire's
-   gauges on one key. *)
-type lbl = {
-  l_frames : Stats.counter;
-  l_delivered : Stats.counter;
-  l_dropped : Stats.counter;
-  l_duplicated : Stats.counter;
-  l_corrupted : Stats.counter;
-  l_delayed : Stats.counter;
-  l_partitioned : Stats.counter;
-  l_bytes : Stats.counter;
-}
+(* The {!stats} counters, counted in place by index so a frame
+   allocates no record.  A labelled wire mirrors each one into a
+   registered per-wire table through handles resolved at create time;
+   only labelled wires pay for (or appear in) the registry, since a
+   multi-wire world would otherwise collide every wire's gauges on one
+   key. *)
+let counter_names =
+  [|
+    "frames";
+    "delivered";
+    "dropped";
+    "duplicated";
+    "corrupted";
+    "delayed";
+    "partitioned";
+    "bytes";
+  |]
+
+let i_frames = 0
+let i_delivered = 1
+let i_dropped = 2
+let i_duplicated = 3
+let i_corrupted = 4
+let i_delayed = 5
+let i_partitioned = 6
+let i_bytes = 7
 
 type t = {
   w_sim : Sim.t;
@@ -47,7 +47,7 @@ type t = {
   medium : Sim.Semaphore.sem;
   rng : Random.State.t;
   w_label : string option;
-  lbl : lbl option;
+  mirror : Stats.counter array; (* empty when unlabelled *)
   mutable taps : attachment list;
   mutable next_tap : int;
   mutable drop_rate : float;
@@ -59,27 +59,17 @@ type t = {
   mutable down : bool;
   blocked : (int * int, unit) Hashtbl.t; (* (src tap, dst tap) pairs *)
   mutable frame_count : int;
-  mutable st : stats;
+  counts : int array; (* indexed like [counter_names] *)
 }
 
 let create w_sim ?(bandwidth_bps = 10e6) ?(propagation = 5e-6) ?(seed = 42)
     ?label () =
-  let lbl =
+  let mirror =
     match label with
-    | None -> None
+    | None -> [||]
     | Some l ->
         let tbl = Stats.create ~name:("wire/" ^ l) () in
-        Some
-          {
-            l_frames = Stats.counter tbl "frames";
-            l_delivered = Stats.counter tbl "delivered";
-            l_dropped = Stats.counter tbl "dropped";
-            l_duplicated = Stats.counter tbl "duplicated";
-            l_corrupted = Stats.counter tbl "corrupted";
-            l_delayed = Stats.counter tbl "delayed";
-            l_partitioned = Stats.counter tbl "partitioned";
-            l_bytes = Stats.counter tbl "bytes";
-          }
+        Array.map (Stats.counter tbl) counter_names
   in
   {
     w_sim;
@@ -88,7 +78,7 @@ let create w_sim ?(bandwidth_bps = 10e6) ?(propagation = 5e-6) ?(seed = 42)
     medium = Sim.Semaphore.create w_sim 1;
     rng = Random.State.make [| seed |];
     w_label = label;
-    lbl;
+    mirror;
     taps = [];
     next_tap = 0;
     drop_rate = 0.;
@@ -100,15 +90,16 @@ let create w_sim ?(bandwidth_bps = 10e6) ?(propagation = 5e-6) ?(seed = 42)
     down = false;
     blocked = Hashtbl.create 8;
     frame_count = 0;
-    st = zero_stats;
+    counts = Array.make (Array.length counter_names) 0;
   }
 
 let sim w = w.w_sim
 let bandwidth_bps w = w.bandwidth
 let label w = w.w_label
 
-let mirror w f =
-  match w.lbl with None -> () | Some l -> Stats.tick (f l)
+let count w i n =
+  w.counts.(i) <- w.counts.(i) + n;
+  if Array.length w.mirror > 0 then Stats.bump w.mirror.(i) n
 
 let attach w ~recv =
   let tap = { tap_id = w.next_tap; recv } in
@@ -141,7 +132,8 @@ let unblock_pair w ~from ~to_ =
   Hashtbl.remove w.blocked (from.tap_id, to_.tap_id)
 
 let pair_blocked w ~from ~to_ =
-  Hashtbl.mem w.blocked (from.tap_id, to_.tap_id)
+  Hashtbl.length w.blocked > 0
+  && Hashtbl.mem w.blocked (from.tap_id, to_.tap_id)
 
 (* Whole-wire cut: an unplugged access link.  Suppressed deliveries
    count as [partitioned] like any other topology fault; the
@@ -149,31 +141,81 @@ let pair_blocked w ~from ~to_ =
 let set_down w d = w.down <- d
 let is_down w = w.down
 
-let stats w = w.st
-let reset_stats w = w.st <- zero_stats
+let stats w =
+  let c = w.counts in
+  {
+    frames = c.(i_frames);
+    delivered = c.(i_delivered);
+    dropped = c.(i_dropped);
+    duplicated = c.(i_duplicated);
+    corrupted = c.(i_corrupted);
+    delayed = c.(i_delayed);
+    partitioned = c.(i_partitioned);
+    bytes = c.(i_bytes);
+  }
+
+let reset_stats w = Array.fill w.counts 0 (Array.length w.counts) 0
+
+let flip w rate = rate > 0. && Random.State.float w.rng 1. < rate
 
 let draw_faults w msg =
-  let faults = ref [] in
-  let flip rate = rate > 0. && Random.State.float w.rng 1. < rate in
-  if flip w.drop_rate then faults := Drop :: !faults
+  if flip w w.drop_rate then [ Drop ]
   else begin
-    if flip w.dup_rate then faults := Duplicate :: !faults;
-    if flip w.reorder_rate then
+    let faults = ref [] in
+    if flip w w.dup_rate then faults := Duplicate :: !faults;
+    if flip w w.reorder_rate then
       faults := Delay (Random.State.float w.rng w.reorder_jitter) :: !faults;
-    if flip w.corrupt_rate && Msg.length msg > 0 then
-      faults := Corrupt (Random.State.int w.rng (Msg.length msg)) :: !faults
-  end;
-  !faults
+    if flip w w.corrupt_rate && Msg.length msg > 0 then
+      faults := Corrupt (Random.State.int w.rng (Msg.length msg)) :: !faults;
+    !faults
+  end
+
+(* Hand one frame to every other tap, [copies] times each: the first
+   copy is [first] (possibly corrupted), later ones the clean [msg]. *)
+let rec deliver w ~from ~copies ~delay ~first msg = function
+  | [] -> ()
+  | tap :: taps ->
+      if tap.tap_id <> from.tap_id then
+        if w.down || pair_blocked w ~from ~to_:tap then
+          count w i_partitioned 1
+        else
+          (* Corruption damages the original transmission; a Duplicate
+             is an independent clean copy.  [delivered] counts every
+             copy actually handed to a tap. *)
+          for copy = 1 to copies do
+            let m = if copy = 1 then first else msg in
+            count w i_delivered 1;
+            ignore (Sim.after w.w_sim delay (fun () -> tap.recv m))
+          done;
+      deliver w ~from ~copies ~delay ~first msg taps
+
+(* Fold the faults in list order into a copy count, an extra delay and
+   the (possibly corrupted) first copy, then deliver. *)
+let rec apply w ~from msg ~copies ~extra ~first = function
+  | [] ->
+      deliver w ~from ~copies ~delay:(w.propagation +. extra) ~first msg w.taps
+  | Drop :: faults -> apply w ~from msg ~copies ~extra ~first faults
+  | Duplicate :: faults ->
+      count w i_duplicated 1;
+      apply w ~from msg ~copies:(copies + 1) ~extra ~first faults
+  | Delay d :: faults ->
+      count w i_delayed 1;
+      apply w ~from msg ~copies ~extra:(extra +. d) ~first faults
+  | Corrupt off :: faults when Msg.length msg > 0 ->
+      let off = off mod Msg.length msg in
+      let first =
+        Msg.map_byte off (fun c -> Char.chr (Char.code c lxor 0xff)) first
+      in
+      count w i_corrupted 1;
+      apply w ~from msg ~copies ~extra ~first faults
+  | Corrupt _ :: faults -> apply w ~from msg ~copies ~extra ~first faults
 
 let transmit w ~from msg =
   let n = w.frame_count in
   w.frame_count <- n + 1;
   let wire_bytes = on_wire_bytes (Msg.length msg) in
-  w.st <- { w.st with frames = w.st.frames + 1; bytes = w.st.bytes + wire_bytes };
-  mirror w (fun l -> l.l_frames);
-  (match w.lbl with
-  | None -> ()
-  | Some l -> Stats.bump l.l_bytes wire_bytes);
+  count w i_frames 1;
+  count w i_bytes wire_bytes;
   Sim.Semaphore.p w.medium;
   Sim.delay w.w_sim (float_of_int (wire_bytes * 8) /. w.bandwidth);
   Sim.Semaphore.v w.medium;
@@ -182,51 +224,5 @@ let transmit w ~from msg =
     | Some hook -> hook n msg
     | None -> draw_faults w msg
   in
-  if List.mem Drop faults then begin
-    w.st <- { w.st with dropped = w.st.dropped + 1 };
-    mirror w (fun l -> l.l_dropped)
-  end
-  else begin
-    let copies = ref 1 in
-    let extra_delay = ref 0. in
-    let delivered_msg = ref msg in
-    let apply = function
-      | Drop -> ()
-      | Duplicate ->
-          incr copies;
-          w.st <- { w.st with duplicated = w.st.duplicated + 1 };
-          mirror w (fun l -> l.l_duplicated)
-      | Delay d ->
-          extra_delay := !extra_delay +. d;
-          w.st <- { w.st with delayed = w.st.delayed + 1 };
-          mirror w (fun l -> l.l_delayed)
-      | Corrupt off when Msg.length msg > 0 ->
-          let off = off mod Msg.length msg in
-          delivered_msg :=
-            Msg.map_byte off (fun c -> Char.chr (Char.code c lxor 0xff)) !delivered_msg;
-          w.st <- { w.st with corrupted = w.st.corrupted + 1 };
-          mirror w (fun l -> l.l_corrupted)
-      | Corrupt _ -> ()
-    in
-    List.iter apply faults;
-    let deliver_to tap =
-      if tap.tap_id <> from.tap_id then
-        if w.down || Hashtbl.mem w.blocked (from.tap_id, tap.tap_id) then begin
-          w.st <- { w.st with partitioned = w.st.partitioned + 1 };
-          mirror w (fun l -> l.l_partitioned)
-        end
-        else
-        (* Corruption damages the original transmission; a Duplicate is
-           an independent clean copy.  [delivered] counts every copy
-           actually handed to a tap. *)
-        for copy = 1 to !copies do
-          let m = if copy = 1 then !delivered_msg else msg in
-          w.st <- { w.st with delivered = w.st.delivered + 1 };
-          mirror w (fun l -> l.l_delivered);
-          ignore
-            (Sim.after w.w_sim (w.propagation +. !extra_delay) (fun () ->
-                 tap.recv m))
-        done
-    in
-    List.iter deliver_to w.taps
-  end
+  if List.mem Drop faults then count w i_dropped 1
+  else apply w ~from msg ~copies:1 ~extra:0. ~first:msg faults
